@@ -47,8 +47,6 @@ from .source import (
     phase_averaged_coherent,
     poisson_diagonal_mixture,
     poisson_pmf,
-    sample_coherent_amplitudes,
-    sample_input,
     trace_distance,
     two_mode_input,
     two_photon_component,

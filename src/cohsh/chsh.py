@@ -237,12 +237,12 @@ def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceS
     )
 
 
-def _one_table(spec, setting, detector, mode, trials, seed, cell_key, n_workers):
+def _one_table(spec, setting, detector, mode, trials, seed, cell_key):
     if mode == "exact":
         return exact_rates(spec, setting, detector)
     rng = derive_rng(seed, *cell_key)
     runner = run_montecarlo_fock if mode == "mc_fock" else run_montecarlo_coherent
-    return runner(spec, setting, detector, trials, rng, n_workers=n_workers)
+    return runner(spec, setting, detector, trials, rng)
 
 
 def _rescaled(table: CountTable, factor: float) -> CountTable:
@@ -291,7 +291,6 @@ def measure_protocol(
     trials: int = 0,
     seed: int | None = None,
     cell_key: tuple[int, ...] = (),
-    n_workers: int = 1,
 ) -> tuple[SubtractedCorrelation, tuple[CountTable, CountTable, CountTable], float]:
     """One three-configuration run at one setting.
 
@@ -310,7 +309,7 @@ def measure_protocol(
         if seed is None:
             raise ValueError("Monte Carlo modes need a seed")
     tables = tuple(
-        _one_table(s, setting, detector, mode, trials, seed, cell_key + (cfg,), n_workers)
+        _one_table(s, setting, detector, mode, trials, seed, cell_key + (cfg,))
         for cfg, s in enumerate(_blocked_variants(spec))
     )
     c_table, clamped = subtract_background(*_common_normalization(tables, spec, detector))
@@ -334,7 +333,6 @@ def sweep_correlation(
     trials: int = 0,
     repetitions: int = 1,
     seed: int | None = None,
-    n_workers: int = 1,
 ) -> list[SweepPoint]:
     """Correlation E versus difference angle via the subtraction protocol.
 
@@ -362,7 +360,6 @@ def sweep_correlation(
                 trials,
                 seed,
                 cell_key=(_STREAM_SWEEP, t_idx, rep),
-                n_workers=n_workers,
             )
             es.append(corr.e_value)
         mean = float(np.mean(es))
@@ -388,7 +385,6 @@ def run_chsh(
     trials: int = 0,
     repetitions: int = 1,
     seed: int | None = None,
-    n_workers: int = 1,
 ) -> ChshRun:
     """CHSH statistic from the three-configuration protocol at four settings.
 
@@ -413,7 +409,6 @@ def run_chsh(
                 trials,
                 seed,
                 cell_key=(_STREAM_CHSH, s_idx, rep),
-                n_workers=n_workers,
             )
             es.append(corr.e_value)
             tables_out.extend(tables)

@@ -76,7 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--trials", type=int, metavar="N", help="trials per configuration")
         p.add_argument("--repetitions", type=int, metavar="K", help="protocol repetitions")
-        p.add_argument("--workers", type=int, metavar="N", help="parallel workers")
+        p.add_argument(
+            "--workers",
+            type=int,
+            metavar="N",
+            help="accepted for compatibility (at least 1); changes neither speed nor results",
+        )
         p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
         p.add_argument(
             "--format", choices=[f.value for f in OutputFormat], help="output format"
@@ -169,7 +174,6 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
         trials=cfg.trials,
         repetitions=cfg.repetitions,
         seed=cfg.seed,
-        n_workers=cfg.workers,
     )
     if args.dump_tables:
         rows = [CountTable.CSV_HEADER] + [t.csv_row() for t in run.tables]
@@ -205,7 +209,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trials=cfg.trials,
         repetitions=cfg.repetitions,
         seed=cfg.seed,
-        n_workers=cfg.workers,
     )
     if cfg.out_format is OutputFormat.JSON:
         doc = [

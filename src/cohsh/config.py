@@ -14,8 +14,8 @@ Schema (all keys optional, defaults shown):
                  "beta": 0.39269908169872414, "beta_prime": 1.1780972450961724},
         "sweep": [0.0, ...]             # or {"start": s, "stop": e, "points": n}
       },
-      "seed": 12345,                    # required unless mode == "exact"
-      "workers": 1,
+      "seed": 12345,                    # in [0, 2**64); required unless mode == "exact"
+      "workers": 1,                     # >= 1; changes neither speed nor results
       "output": {"path": null, "format": "json"}
     }
 
@@ -35,7 +35,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .chsh import BELL_TEST_ANGLES
-from .measurement import CoincidenceSemantics, DetectorModel
+from .measurement import SEED_LIMIT, CoincidenceSemantics, DetectorModel
 from .source import BlockedArm, SourceSpec
 
 
@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.seed is not None and not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.mode is not RunMode.EXACT:
             if self.trials < 1:
                 raise ConfigError(f"mode {self.mode.value} needs trials >= 1")

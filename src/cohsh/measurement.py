@@ -24,31 +24,46 @@ the overall scale anyway.
 Detector model.  Visibility eta mixes the ideal outcome distribution with a
 uniform relabeling of coincidences (E_measured = eta * E_ideal exactly);
 efficiency scales exact coincidence rates by efficiency^2 (both photons must
-be seen) and is applied as per-photon Bernoulli loss in the samplers; dark
-counts are an additive Poisson rate per detector, modeled in the coherent
-sampler only.
+be seen) and acts as per-photon loss in the Monte Carlo models; dark counts
+are an additive Poisson rate per detector, modeled in the coherent model
+only.
 
-Monte Carlo determinism.  Trials are split into fixed-size blocks, each block
-seeded from the caller's stream up front, and block results merge by
-addition, so a run is a pure function of its seed no matter how many workers
-execute the blocks or in which order.
+Monte Carlo.  Trials are i.i.d., so the counts of one cell are exactly
+multinomial over p-bar, the per-trial outcome distribution averaged over the
+beam phases.  Two independent builders compute p-bar: fock_outcome_table
+from Fock propagation of photon-number inputs, coherent_outcome_table from
+the Poisson readout of coherent amplitudes.  One sampler turns either into
+counts.
+
+Monte Carlo determinism.  Every (setting, configuration, repetition) cell
+draws from its own SeedSequence-derived stream (derive_rng) and takes one
+multinomial draw, so a run is a pure function of its seed; the worker count
+plays no part.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .elements import ModeTransform, apply, beam_splitter, compose, polarization_rotator
 from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, DensityMixture, Port, StateVector, basis_state
-from .source import BlockedArm, SourceSpec, two_mode_input, _truncated_cdf
+from .source import BlockedArm, SourceSpec, two_mode_input, _truncated_weights
 
-#: Fixed Monte Carlo block size; block boundaries define the seeding grid.
-MC_BLOCK = 1_000_000
+#: Seeds are 64-bit: derive_rng accepts exactly the integers in [0, SEED_LIMIT).
+SEED_LIMIT = 2**64
+
+#: Equispaced phase-difference nodes of coherent_outcome_table's trapezoidal
+#: rule.  It is exact for the exact_one_one integrand, a trigonometric
+#: polynomial of degree 2, and converges exponentially for the smooth
+#: threshold integrand: at 64 nodes it matches 128 nodes to rounding for
+#: mean photon numbers up to ten per beam.
+PHASE_NODES = 64
 
 #: Outcome cells in CSV order: (+,+), (+,-), (-,+), (-,-).
 CELLS = ("pp", "pm", "mp", "mm")
@@ -58,6 +73,12 @@ _INPUT_PORTS = {Port.A, Port.B}
 _OUTPUT_PORTS = {Port.C, Port.D}
 #: Detector-mode column pairs (c-side, d-side) for the four cells.
 _CELL_COLUMNS = ((0, 2), (0, 3), (1, 2), (1, 3))
+#: Click patterns of the four detectors (bit k set: detector k fires) and the
+#: cells each one registers under threshold semantics.
+_PATTERNS = np.array([[(p >> k) & 1 for k in range(4)] for p in range(16)], dtype=bool)
+_PATTERN_CELLS = np.array(
+    [[int(pattern[c] and pattern[d]) for c, d in _CELL_COLUMNS] for pattern in _PATTERNS]
+)
 
 #: The recombining 50:50 splitter, a/b inputs onto c/d outputs.
 RECOMBINER = beam_splitter(Port.A, Port.B)
@@ -159,12 +180,14 @@ def analyzer_transform(setting: AnalyzerSetting) -> ModeTransform:
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent child stream for (seed, key).
 
-    Cells of a larger computation (setting, configuration, repetition, block)
-    each get their own key, so results are reproducible for a fixed seed
-    regardless of execution order or how cells are spread across workers.
+    Cells of a larger computation (setting, configuration, repetition) each
+    get their own key, so results are reproducible for a fixed seed
+    regardless of execution order.  Seeds outside [0, 2**64) are rejected.
     """
-    entropy = int(seed) & 0xFFFFFFFFFFFFFFFF
-    ss = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(int(k) for k in key))
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
 
@@ -178,11 +201,9 @@ def _classify_exact(occ: tuple[int, ...]) -> int | None:
     return (0 if nc_h else 2) + (0 if nd_h else 1)
 
 
-def _classify_threshold(occ: tuple[int, ...]) -> list[int]:
-    """All cells with at least one click on each side (may be several)."""
-    nc = (occ[4], occ[5])
-    nd = (occ[6], occ[7])
-    return [2 * i + j for i in (0, 1) for j in (0, 1) if nc[i] and nd[j]]
+def _click_pattern(occ: tuple[int, ...]) -> int:
+    """Index of the detectors that see at least one photon (bit k: detector k)."""
+    return sum(1 << k for k, mode in enumerate(_DET_MODES) if occ[mode])
 
 
 def _raw_cell_probs(
@@ -198,8 +219,7 @@ def _raw_cell_probs(
             if cell is not None:
                 cells[cell] += p
         else:
-            for cell in _classify_threshold(bstate.occ):
-                cells[cell] += p
+            cells += p * _PATTERN_CELLS[_click_pattern(bstate.occ)]
     return cells
 
 
@@ -281,40 +301,141 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return np.random.default_rng(int(rng))
 
 
-def _block_sizes(trials: int) -> list[int]:
-    full, rest = divmod(trials, MC_BLOCK)
-    return [MC_BLOCK] * full + ([rest] if rest else [])
-
-
-def _run_blocks(run_block, block_seeds: np.ndarray, n_workers: int) -> np.ndarray:
-    indices = range(len(block_seeds))
-    if n_workers <= 1:
-        results = [run_block(b) for b in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_block, indices))
-    return np.sum(results, axis=0) if results else np.zeros(4, dtype=np.int64)
-
-
-def _relabel_visibility(
-    cells: np.ndarray, eta: float, rng: np.random.Generator
+def coherent_outcome_table(
+    spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
 ) -> np.ndarray:
-    """Replace each registered outcome by a uniform one with probability 1-eta."""
-    if eta >= 1.0 or cells.size == 0:
-        return cells
-    flip = rng.random(cells.size) < (1.0 - eta)
-    if flip.any():
-        cells = cells.copy()
-        cells[flip] = rng.integers(0, 4, int(flip.sum()))
-    return cells
+    """Per-trial outcome probabilities of the coherent-amplitude model.
+
+    Coherent states stay coherent under linear optics, so for a phase
+    difference delta between the beams detector k sees intensity I_k(delta)
+    and registers an independent Poisson count of mean
+    m_k = efficiency * I_k + dark_rate.  The per-trial probabilities are
+    averaged over delta by the trapezoidal rule on PHASE_NODES equispaced
+    nodes.  Returns the four cell probabilities m_c m_d exp(-sum m) for
+    exact_one_one, or the probabilities of the 16 click patterns for
+    threshold.
+    """
+    total = compose(RECOMBINER, analyzer_transform(setting)).matrix
+    u = total[list(_DET_MODES), MODE_INDEX[AH]]
+    v = total[list(_DET_MODES), MODE_INDEX[BV]]
+    mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
+    base = mu_a * np.abs(u) ** 2 + mu_b * np.abs(v) ** 2
+    cross = 2.0 * math.sqrt(mu_a * mu_b) * (u * v.conj())
+    delta = 2.0 * math.pi * np.arange(PHASE_NODES) / PHASE_NODES
+    intensity = (
+        base[None, :]
+        + np.cos(delta)[:, None] * cross.real[None, :]
+        - np.sin(delta)[:, None] * cross.imag[None, :]
+    )
+    # fully destructive interference can round to -1e-19
+    np.maximum(intensity, 0.0, out=intensity)
+    means = detector.efficiency * intensity + detector.dark_rate
+    silent = np.exp(-means)
+    if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
+        c_cols, d_cols = zip(*_CELL_COLUMNS)
+        per_node = means[:, c_cols] * means[:, d_cols] * silent.prod(axis=1, keepdims=True)
+    else:
+        fired = -np.expm1(-means)
+        patterns = np.where(_PATTERNS[None, :, :], fired[:, None, :], silent[:, None, :])
+        per_node = patterns.prod(axis=2)
+    # an exactly rounded sum keeps the average as accurate as the node values
+    return np.array([math.fsum(column) for column in per_node.T]) / PHASE_NODES
 
 
-def _count_table(counts: np.ndarray, trials: int, spec: SourceSpec, setting: AnalyzerSetting) -> CountTable:
-    return CountTable(
-        float(counts[0]),
-        float(counts[1]),
-        float(counts[2]),
-        float(counts[3]),
+def fock_outcome_table(
+    spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
+) -> np.ndarray:
+    """Per-trial outcome probabilities of the photon-number model.
+
+    Each arm carries a truncated, renormalized Poisson number of photons;
+    each photon survives with the detector efficiency (binomial thinning),
+    and the surviving |i_aH, j_bV> is read out through its sector table.
+    Same layout as coherent_outcome_table.  Dark counts are not modeled
+    here; use the coherent model for that.
+    """
+    if detector.dark_rate > 0.0:
+        raise ValueError("dark counts are only modeled in the coherent sampler")
+    eff = detector.efficiency
+    w_a = _thinned_weights(spec.effective_mu_a, spec.n_max, eff)
+    w_b = _thinned_weights(spec.effective_mu_b, spec.n_max, eff)
+    sectors = _sector_table(setting, spec.n_max, detector.semantics)
+    return np.einsum("i,j,ijk->k", w_a, w_b, sectors)
+
+
+def _thinned_weights(mu: float, n_max: int, eff: float) -> np.ndarray:
+    """Law of the surviving photon number of one arm."""
+    weights = _truncated_weights(mu, n_max)
+    weights /= weights.sum()
+    return np.array(
+        [
+            sum(
+                weights[n] * math.comb(n, k) * eff**k * (1.0 - eff) ** (n - k)
+                for n in range(k, n_max + 1)
+            )
+            for k in range(n_max + 1)
+        ]
+    )
+
+
+@lru_cache(maxsize=128)
+def _sector_table(
+    setting: AnalyzerSetting, n_max: int, semantics: CoincidenceSemantics
+) -> np.ndarray:
+    """Outcome probabilities of every input sector |i_aH, j_bV>, i, j <= n_max.
+
+    Axis 2 holds the four cells (exact_one_one) or the 16 click patterns
+    (threshold).  Read-only: one array is shared by every caller.
+    """
+    transform = compose(RECOMBINER, analyzer_transform(setting))
+    exact = semantics is CoincidenceSemantics.EXACT_ONE_ONE
+    table = np.zeros((n_max + 1, n_max + 1, 4 if exact else len(_PATTERNS)))
+    for i in range(n_max + 1):
+        for j in range(n_max + 1):
+            out = apply(transform, StateVector.from_basis(basis_state(aH=i, bV=j)))
+            for bstate, amp in out.items():
+                p = amp.real * amp.real + amp.imag * amp.imag
+                if not exact:
+                    table[i, j, _click_pattern(bstate.occ)] += p
+                elif (cell := _classify_exact(bstate.occ)) is not None:
+                    table[i, j, cell] += p
+    table.setflags(write=False)
+    return table
+
+
+def _sample_counts(
+    table: np.ndarray, detector: DetectorModel, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Registered counts of the four cells over ``trials`` i.i.d. trials.
+
+    Visibility replaces each registered outcome by a uniform one with
+    probability 1 - eta.  For exact_one_one a trial registers at most one
+    outcome, so this folds into the cell probabilities.  A threshold trial
+    can register several, so the replaced counts are split off binomially
+    per cell and dealt back uniformly; both give the law of relabeling every
+    event independently.
+    """
+    eta = detector.visibility_eta
+    if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
+        cells = eta * table + (1.0 - eta) / 4.0 * table.sum()
+        return rng.multinomial(trials, np.append(cells, max(0.0, 1.0 - cells.sum())))[:4]
+    counts = rng.multinomial(trials, table) @ _PATTERN_CELLS
+    flipped = rng.binomial(counts, 1.0 - eta)
+    return counts - flipped + rng.multinomial(flipped.sum(), [0.25] * 4)
+
+
+def _sampled_table(
+    builder: Callable[[SourceSpec, AnalyzerSetting, DetectorModel], np.ndarray],
+    spec: SourceSpec,
+    setting: AnalyzerSetting,
+    detector: DetectorModel,
+    trials: int,
+    rng: np.random.Generator | int,
+) -> CountTable:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    counts = _sample_counts(builder(spec, setting, detector), detector, trials, _as_rng(rng))
+    return CountTable.from_values(
+        counts,
         trials=trials,
         alpha=setting.alpha,
         beta=setting.beta,
@@ -330,93 +451,12 @@ def run_montecarlo_fock(
     detector: DetectorModel,
     trials: int,
     rng: np.random.Generator | int,
-    *,
-    n_workers: int = 1,
 ) -> CountTable:
-    """Event-by-event sampler over photon-number inputs.
+    """Coincidence counts of ``trials`` trials of the photon-number model.
 
-    Per trial: draw |i_aH, j_bV> by inverse-CDF over the truncated Poisson
-    laws (one uniform per arm), thin each photon with the detector efficiency,
-    sample one output pattern from the propagated state's squared amplitudes,
-    classify it, and apply the visibility relabeling.  Dark counts are not
-    modeled here; use the coherent sampler for that.
+    One multinomial draw over fock_outcome_table; dark counts are rejected.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if detector.dark_rate > 0.0:
-        raise ValueError("dark counts are only modeled in the coherent sampler")
-    rng = _as_rng(rng)
-
-    transform = compose(RECOMBINER, analyzer_transform(setting))
-    cdf_a = _truncated_cdf(spec.effective_mu_a, spec.n_max)
-    cdf_b = _truncated_cdf(spec.effective_mu_b, spec.n_max)
-    exact = detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE
-    sectors = _sector_distributions(transform, spec.n_max, exact)
-
-    sizes = _block_sizes(trials)
-    block_seeds = rng.integers(0, 2**63, size=len(sizes), dtype=np.uint64)
-    eta = detector.visibility_eta
-    eff = detector.efficiency
-
-    def run_block(b: int) -> np.ndarray:
-        brng = np.random.default_rng(int(block_seeds[b]))
-        n = sizes[b]
-        i = np.searchsorted(cdf_a, brng.random(n), side="right")
-        j = np.searchsorted(cdf_b, brng.random(n), side="right")
-        if eff < 1.0:
-            i = brng.binomial(i, eff)
-            j = brng.binomial(j, eff)
-        u = brng.random(n)
-        if exact:
-            cls = np.full(n, 4, dtype=np.int8)
-            for (si, sj), (cum, classes, _) in sectors.items():
-                mask = (i == si) & (j == sj)
-                if mask.any():
-                    cls[mask] = classes[np.searchsorted(cum, u[mask], side="right")]
-            hits = cls[cls < 4].astype(np.int64)
-            hits = _relabel_visibility(hits, eta, brng)
-            return np.bincount(hits, minlength=4).astype(np.int64)
-        registered: list[np.ndarray] = []
-        for (si, sj), (cum, _, increments) in sectors.items():
-            mask = (i == si) & (j == sj)
-            if not mask.any():
-                continue
-            picked = increments[np.searchsorted(cum, u[mask], side="right")]
-            registered.append(np.nonzero(picked)[1])
-        cols = np.concatenate(registered) if registered else np.zeros(0, dtype=np.int64)
-        cols = _relabel_visibility(cols.astype(np.int64), eta, brng)
-        return np.bincount(cols, minlength=4).astype(np.int64)
-
-    counts = _run_blocks(run_block, block_seeds, n_workers)
-    return _count_table(counts, trials, spec, setting)
-
-
-def _sector_distributions(
-    transform: ModeTransform, n_max: int, exact: bool
-) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per input sector (i, j): output-pattern CDF, classes, cell increments."""
-    sectors = {}
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            state = StateVector.from_basis(basis_state(aH=i, bV=j))
-            out = apply(transform, state)
-            probs, classes, increments = [], [], []
-            for bstate, amp in out.items():
-                probs.append(amp.real * amp.real + amp.imag * amp.imag)
-                cell = _classify_exact(bstate.occ)
-                classes.append(4 if cell is None else cell)
-                row = np.zeros(4, dtype=np.int8)
-                for c in _classify_threshold(bstate.occ):
-                    row[c] = 1
-                increments.append(row)
-            cum = np.cumsum(probs)
-            cum /= cum[-1]
-            sectors[(i, j)] = (
-                cum,
-                np.array(classes, dtype=np.int8),
-                np.array(increments, dtype=np.int8),
-            )
-    return sectors
+    return _sampled_table(fock_outcome_table, spec, setting, detector, trials, rng)
 
 
 def run_montecarlo_coherent(
@@ -425,95 +465,11 @@ def run_montecarlo_coherent(
     detector: DetectorModel,
     trials: int,
     rng: np.random.Generator | int,
-    *,
-    n_workers: int = 1,
 ) -> CountTable:
-    """Semiclassical-exact sampler over coherent amplitudes.
+    """Coincidence counts of ``trials`` trials of the coherent-amplitude model.
 
-    Per trial: draw the two beam phases, propagate the coherent amplitudes
-    through the splitter and analyzer matrices (coherent states stay coherent
-    under linear optics), and read out the four detectors with independent
-    Poisson counts of mean efficiency * intensity (+ dark rate).  Statistically
-    equivalent to the photon-number sampler for every observable.
-
-    For exact-one-one semantics without dark counts the Poisson readout is
-    marginalized: the per-trial coincidence-cell probabilities have the closed
-    form eff^2 I_c I_d exp(-eff (mu_a + mu_b)), so one categorical draw
-    replaces the four count draws without changing the distribution.
+    One multinomial draw over coherent_outcome_table.  Statistically
+    equivalent to the photon-number sampler for every observable, and the
+    only one that models dark counts.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = _as_rng(rng)
-
-    total = compose(RECOMBINER, analyzer_transform(setting)).matrix
-    u = total[list(_DET_MODES), MODE_INDEX[AH]]
-    v = total[list(_DET_MODES), MODE_INDEX[BV]]
-    mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
-    base = mu_a * np.abs(u) ** 2 + mu_b * np.abs(v) ** 2
-    cross = 2.0 * math.sqrt(mu_a * mu_b) * (u * v.conj())
-
-    eta = detector.visibility_eta
-    eff = detector.efficiency
-    exact = detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE
-    fast = exact and detector.dark_rate == 0.0
-    pair_scale = eff**2 * math.exp(-eff * (mu_a + mu_b))
-
-    sizes = _block_sizes(trials)
-    block_seeds = rng.integers(0, 2**63, size=len(sizes), dtype=np.uint64)
-
-    c_cols = [c for c, _ in _CELL_COLUMNS]
-    d_cols = [d for _, d in _CELL_COLUMNS]
-    interferes = cross.any()
-
-    def run_block(b: int) -> np.ndarray:
-        brng = np.random.default_rng(int(block_seeds[b]))
-        n = sizes[b]
-        if fast and not interferes:
-            # One arm is dark: intensities are phase independent, so the
-            # block is a single multinomial draw over the outcome cells.
-            p = pair_scale * base[c_cols] * base[d_cols]
-            p = eta * p + (1.0 - eta) / 4.0 * p.sum()
-            pvals = np.append(p, 1.0 - p.sum())
-            return brng.multinomial(n, pvals)[:4].astype(np.int64)
-        phases = 2.0 * math.pi * brng.random((n, 2))
-        delta = phases[:, 0] - phases[:, 1]
-        intensity = (
-            base[None, :]
-            + np.cos(delta)[:, None] * cross.real[None, :]
-            - np.sin(delta)[:, None] * cross.imag[None, :]
-        )
-        # fully destructive interference can round to -1e-19
-        np.maximum(intensity, 0.0, out=intensity)
-        if fast:
-            p = pair_scale * intensity[:, c_cols] * intensity[:, d_cols]
-            totals = p.sum(axis=1)
-            draw = brng.random(n)
-            hit = np.flatnonzero(draw < totals)
-            if hit.size == 0:
-                return np.zeros(4, dtype=np.int64)
-            p_hit = p[hit]
-            if eta < 1.0:
-                p_hit = eta * p_hit + (1.0 - eta) / 4.0 * totals[hit, None]
-            cum = np.cumsum(p_hit, axis=1)
-            cls = (draw[hit, None] >= cum[:, :3]).sum(axis=1)
-            return np.bincount(cls, minlength=4).astype(np.int64)
-        counts = brng.poisson(eff * intensity + detector.dark_rate)
-        if exact:
-            side_c = counts[:, 0] + counts[:, 1]
-            side_d = counts[:, 2] + counts[:, 3]
-            valid = (side_c == 1) & (side_d == 1)
-            cls = 2 * (counts[valid, 1] > 0) + (counts[valid, 3] > 0)
-            cls = _relabel_visibility(cls.astype(np.int64), eta, brng)
-            return np.bincount(cls, minlength=4).astype(np.int64)
-        clicks_c = counts[:, :2] > 0
-        clicks_d = counts[:, 2:] > 0
-        registered = []
-        for cell, (ci, dj) in enumerate(_CELL_COLUMNS):
-            fired = clicks_c[:, ci] & clicks_d[:, dj - 2]
-            registered.append(np.full(int(fired.sum()), cell, dtype=np.int64))
-        cols = np.concatenate(registered) if registered else np.zeros(0, dtype=np.int64)
-        cols = _relabel_visibility(cols, eta, brng)
-        return np.bincount(cols, minlength=4).astype(np.int64)
-
-    counts = _run_blocks(run_block, block_seeds, n_workers)
-    return _count_table(counts, trials, spec, setting)
+    return _sampled_table(coherent_outcome_table, spec, setting, detector, trials, rng)

@@ -12,9 +12,9 @@ mu_b (the half-wave plate rotation is already folded in).  The explicit phase
 randomization makes the two photon-number draws independent, so the two-mode
 input is the product Poisson mixture over |i_aH, j_bV>.
 
-Everything here is pure except the samplers, which consume an explicit seeded
-generator; parallel Monte Carlo derives independent child streams per worker
-(see cohsh.measurement.derive_rng).
+Everything here is pure.  Monte Carlo randomness lives in cohsh.measurement,
+which derives one SeedSequence stream per (setting, configuration,
+repetition) cell (see cohsh.measurement.derive_rng).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -160,45 +159,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """T(rho, sigma) = (1/2) * trace norm of (rho - sigma)."""
     eigenvalues = np.linalg.eigvalsh(rho - sigma)
     return float(0.5 * np.abs(eigenvalues).sum())
-
-
-def sample_input(spec: SourceSpec, rng: np.random.Generator) -> FockBasisState:
-    """Draw |i_aH, j_bV> with i, j independent truncated-Poisson variates.
-
-    Inverse-CDF sampling: exactly one uniform draw per arm, so the stream
-    position after each sample is fixed.
-    """
-    cdf_a = _truncated_cdf(spec.effective_mu_a, spec.n_max)
-    cdf_b = _truncated_cdf(spec.effective_mu_b, spec.n_max)
-    i = int(np.searchsorted(cdf_a, rng.random(), side="right"))
-    j = int(np.searchsorted(cdf_b, rng.random(), side="right"))
-    return _two_mode_basis(i, j)
-
-
-@lru_cache(maxsize=128)
-def _truncated_cdf(mu: float, n_max: int) -> np.ndarray:
-    weights = _truncated_weights(mu, n_max)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    cdf.setflags(write=False)
-    return cdf
-
-
-@lru_cache(maxsize=None)
-def _two_mode_basis(i: int, j: int) -> FockBasisState:
-    return basis_state(aH=i, bV=j)
-
-
-def sample_coherent_amplitudes(
-    spec: SourceSpec, rng: np.random.Generator
-) -> tuple[complex, complex]:
-    """Coherent amplitudes (sqrt(mu_a) e^{i phi_a}, sqrt(mu_b) e^{i phi_b}).
-
-    Phases are independent and uniform on [0, 2pi); a blocked arm yields
-    amplitude zero (its phase is still consumed from the stream).
-    """
-    phi_a = 2.0 * math.pi * rng.random()
-    phi_b = 2.0 * math.pi * rng.random()
-    amp_a = math.sqrt(spec.effective_mu_a) * complex(math.cos(phi_a), math.sin(phi_a))
-    amp_b = math.sqrt(spec.effective_mu_b) * complex(math.cos(phi_b), math.sin(phi_b))
-    return amp_a, amp_b

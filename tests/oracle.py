@@ -1,9 +1,10 @@
 """Independent brute-force references used only by the test suite.
 
 Nothing here shares code with the library's propagation path: the splitter
-expansion enumerates every per-photon routing explicitly, and the correlation
+expansion enumerates every per-photon routing explicitly, the correlation
 laws are closed forms derived by hand from projective measurement of the
-singlet and of the separable two-photon states.
+singlet and of the separable two-photon states, and the Poisson-readout
+sampler simulates the coherent-state experiment one trial at a time.
 """
 
 from __future__ import annotations
@@ -92,3 +93,62 @@ def oracle_unsubtracted_E(alpha: float, beta: float) -> float:
     tables = oracle_sector_tables(alpha, beta)
     n = tables["one_one"] + 0.5 * tables["two_zero"] + 0.5 * tables["zero_two"]
     return float((n[0] - n[1] - n[2] + n[3]) / n.sum())
+
+
+def oracle_poisson_readout_counts(
+    mu_a: float,
+    mu_b: float,
+    alpha: float,
+    beta: float,
+    *,
+    eta: float,
+    efficiency: float,
+    dark_rate: float,
+    threshold: bool,
+    trials: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Registered (++, +-, -+, --) counts of a literal per-trial simulation.
+
+    Per trial: the two beams get independent uniform phases; their coherent
+    amplitudes (sqrt(mu_a) on aH, sqrt(mu_b) on bV) are routed through the
+    splitter image above; each port's field is projected onto its analyzer
+    axis ("+" along the analyzer angle, "-" perpendicular to it); every
+    detector reads an independent Poisson count of mean
+    efficiency * |field|^2 + dark_rate.  A threshold trial registers every
+    (c, d) detector pair that both fired; an exact_one_one trial registers
+    its cell only when each port saw exactly one photon.  Each registered
+    outcome is then replaced by a uniformly random cell with probability
+    1 - eta.
+    """
+    phases = 2.0 * math.pi * rng.random((trials, 2))
+    inputs = {
+        AH: math.sqrt(mu_a) * np.exp(1j * phases[:, 0]),
+        BV: math.sqrt(mu_b) * np.exp(1j * phases[:, 1]),
+    }
+    field = {mode: np.zeros(trials, dtype=complex) for mode in (CH, CV, DH, DV)}
+    for mode, amplitude in inputs.items():
+        for out, coeff in _BS_IMAGE[mode]:
+            field[out] += coeff * amplitude
+    detectors = []  # c+, c-, d+, d-
+    for h, v, angle in ((CH, CV, alpha), (DH, DV, beta)):
+        c, s = math.cos(angle), math.sin(angle)
+        detectors.append(c * field[h] + s * field[v])
+        detectors.append(-s * field[h] + c * field[v])
+    counts = np.stack(
+        [rng.poisson(efficiency * np.abs(f) ** 2 + dark_rate) for f in detectors], axis=1
+    )
+
+    registered = []
+    for n_cp, n_cm, n_dp, n_dm in counts.tolist():
+        if threshold:
+            pairs = ((n_cp, n_dp), (n_cp, n_dm), (n_cm, n_dp), (n_cm, n_dm))
+            registered += [cell for cell, (c, d) in enumerate(pairs) if c and d]
+        elif n_cp + n_cm == 1 and n_dp + n_dm == 1:
+            registered.append(2 * n_cm + n_dm)
+    cells = np.zeros(4)
+    for cell in registered:
+        if rng.random() < 1.0 - eta:
+            cell = int(rng.integers(0, 4))
+        cells[cell] += 1
+    return cells

@@ -57,6 +57,16 @@ def test_config_rejects_unknown_and_inconsistent(tmp_path):
         load_config(write_config(tmp_path, source={"mu_a": -1.0}))
 
 
+def test_config_rejects_seeds_outside_64_bits(tmp_path, capsys):
+    top = load_config(write_config(tmp_path, mode="mc_fock", seed=2**64 - 1))
+    assert top.seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_config(tmp_path, mode="mc_fock", seed=seed))
+    assert main(["chsh", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
+    assert "seed must lie in" in capsys.readouterr().err
+
+
 def test_cli_invalid_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, mode="mc_fock")  # missing seed
     assert main(["chsh", "--config", path]) == 2

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cohsh import measurement
 from cohsh.fock import DensityMixture, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
@@ -13,15 +14,17 @@ from cohsh.measurement import (
     CountTable,
     DetectorModel,
     analyzer_transform,
+    coherent_outcome_table,
     coincidence_probabilities,
     derive_rng,
     exact_rates,
+    fock_outcome_table,
     run_montecarlo_coherent,
     run_montecarlo_fock,
 )
 from cohsh.source import BlockedArm, SourceSpec, two_photon_component
 
-from oracle import oracle_sector_tables
+from oracle import oracle_poisson_readout_counts, oracle_sector_tables
 from test_fock import psi_minus
 
 IDEAL = DetectorModel()
@@ -173,14 +176,20 @@ def test_derive_rng_independent_of_order():
     assert not np.array_equal(a, c)
 
 
+def test_derive_rng_rejects_seeds_outside_64_bits():
+    assert np.array_equal(derive_rng(2**64 - 1).random(2), derive_rng(2**64 - 1).random(2))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            derive_rng(seed)
+
+
 @pytest.mark.parametrize("runner", [run_montecarlo_fock, run_montecarlo_coherent])
-def test_montecarlo_determinism_and_workers(runner):
+def test_montecarlo_determinism(runner):
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, math.pi / 8)
     one = runner(spec, setting, IDEAL, 300_000, 42)
     two = runner(spec, setting, IDEAL, 300_000, 42)
-    three = runner(spec, setting, IDEAL, 300_000, 42, n_workers=3)
-    assert one == two == three
+    assert one == two
     assert one.trials == 300_000
 
 
@@ -293,18 +302,74 @@ def test_montecarlo_fock_rejects_dark_counts():
         )
 
 
-def test_montecarlo_coherent_slow_paths_agree_with_fast():
-    """Literal Poisson readout and the marginalized fast path match statistically."""
-    spec = SourceSpec(0.08, 0.08)
-    setting = AnalyzerSetting(0.0, math.pi / 8)
-    trials = 400_000
-    fast = run_montecarlo_coherent(spec, setting, IDEAL, trials, 11)
-    threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
-    slow = run_montecarlo_coherent(spec, setting, threshold, trials, 12)
-    # at mu = 0.08 the two semantics differ at O(mu^3): compare loosely
-    diff = np.abs(fast.values() - slow.values())
-    sigma = np.sqrt(fast.values() + slow.values() + 1.0)
-    assert (diff <= 5.0 * sigma + 60.0).all()
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+@pytest.mark.parametrize("efficiency", [1.0, 0.6])
+def test_outcome_table_builders_agree(semantics, efficiency):
+    """Fock propagation with thinning and the phase quadrature give one table."""
+    # at n_max 8 and mu <= 0.1 the discarded Poisson tail is below 1e-13
+    detector = DetectorModel(efficiency=efficiency, semantics=semantics)
+    for arm in BlockedArm:
+        spec = SourceSpec(0.1, 0.07, n_max=8, blocked=arm)
+        for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(2.0, -0.4)):
+            fock = fock_outcome_table(spec, setting, detector)
+            coherent = coherent_outcome_table(spec, setting, detector)
+            exact = semantics is CoincidenceSemantics.EXACT_ONE_ONE
+            assert fock.shape == coherent.shape == ((4,) if exact else (16,))
+            assert np.abs(fock - coherent).max() <= 1e-12
+
+
+def test_coherent_table_matches_exact_rates():
+    """exact_one_one probabilities are the vacuum-relative rates times exp(-mu_a - mu_b)."""
+    for arm in BlockedArm:
+        spec = SourceSpec(0.05, 0.08, blocked=arm)
+        for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(0.3, 1.1)):
+            table = coherent_outcome_table(spec, setting, IDEAL)
+            vacuum = math.exp(-(spec.effective_mu_a + spec.effective_mu_b))
+            expected = exact_rates(spec, setting, IDEAL).values()
+            assert np.abs(table / vacuum - expected).max() <= 1e-15
+
+
+def test_threshold_quadrature_is_converged(monkeypatch):
+    detector = DetectorModel(
+        efficiency=0.8, semantics=CoincidenceSemantics.THRESHOLD, dark_rate=0.01
+    )
+    setting = AnalyzerSetting(0.3, 1.1)
+    specs = (SourceSpec(0.1, 0.1), SourceSpec(10.0, 3.0))
+    tables = [coherent_outcome_table(spec, setting, detector) for spec in specs]
+    monkeypatch.setattr(measurement, "PHASE_NODES", 2 * measurement.PHASE_NODES)
+    for spec, table in zip(specs, tables):
+        doubled = coherent_outcome_table(spec, setting, detector)
+        assert np.abs(doubled - table).max() <= 1e-15
+        assert table.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_montecarlo_coherent_matches_per_trial_oracle(semantics):
+    """One multinomial draw per cell has the law of the per-trial Poisson readout."""
+    # a strongly correlated raw table and a large dark share give the
+    # comparison power on visibility and dark counts
+    spec = SourceSpec(0.8, 0.2)
+    setting = AnalyzerSetting(0.2, 0.1)
+    detector = DetectorModel(
+        visibility_eta=0.5, efficiency=0.6, semantics=semantics, dark_rate=0.05
+    )
+    trials = 200_000
+    ours = run_montecarlo_coherent(spec, setting, detector, trials, 31).values()
+    reference = oracle_poisson_readout_counts(
+        spec.mu_a,
+        spec.mu_b,
+        setting.alpha,
+        setting.beta,
+        eta=detector.visibility_eta,
+        efficiency=detector.efficiency,
+        dark_rate=detector.dark_rate,
+        threshold=semantics is CoincidenceSemantics.THRESHOLD,
+        trials=trials,
+        rng=np.random.default_rng(32),
+    )
+    assert (reference > 500).all()
+    sigma = np.sqrt(ours + reference)
+    assert (np.abs(ours - reference) <= 5.0 * sigma).all()
 
 
 def test_montecarlo_visibility_scales_correlation():

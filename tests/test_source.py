@@ -1,10 +1,9 @@
-"""Source model: Poisson statistics, product mixtures, phase averaging, samplers."""
+"""Source model: Poisson statistics, product mixtures, phase averaging."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from cohsh.fock import AH, BV, density_matrix
 from cohsh.source import (
@@ -14,8 +13,6 @@ from cohsh.source import (
     phase_averaged_coherent,
     poisson_diagonal_mixture,
     poisson_pmf,
-    sample_coherent_amplitudes,
-    sample_input,
     trace_distance,
     two_mode_input,
     two_photon_component,
@@ -134,60 +131,3 @@ def test_phase_average_converges_to_poisson_mixture():
         distances.append(trace_distance(rho, sigma))
     assert all(a >= b - 1e-15 for a, b in zip(distances, distances[1:]))
     assert distances[-1] < 1e-6
-
-
-def test_sample_input_zero_means_vacuum():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert sample_input(SourceSpec(0.0, 0.0), rng).total_photons == 0
-
-
-def test_sample_input_determinism():
-    spec = SourceSpec(0.4, 0.2)
-    draws_a = [sample_input(spec, np.random.default_rng(123)) for _ in range(1)]
-    draws_b = [sample_input(spec, np.random.default_rng(123)) for _ in range(1)]
-    assert draws_a == draws_b
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    seq1 = [sample_input(spec, rng1) for _ in range(200)]
-    seq2 = [sample_input(spec, rng2) for _ in range(200)]
-    assert seq1 == seq2
-
-
-def test_sample_input_empirical_mean():
-    mu, n = 0.1, 1_000_000
-    rng = np.random.default_rng(31415)
-    total = sum(sample_input(SourceSpec(mu, 0.0), rng).count(AH) for _ in range(n))
-    tolerance = 3.0 * math.sqrt(mu / n)
-    assert abs(total / n - mu) < tolerance
-
-
-def test_sample_input_chi2_agreement_with_pmf():
-    mu, n_max, n = 0.1, 4, 1_000_000
-    spec = SourceSpec(mu, 0.0, n_max=n_max)
-    rng = np.random.default_rng(2718)
-    observed = np.zeros(n_max + 1)
-    for _ in range(n):
-        observed[sample_input(spec, rng).count(AH)] += 1
-    weights = np.array([poisson_pmf(mu, k) for k in range(n_max + 1)])
-    expected = n * weights / weights.sum()
-    # merge the sparse tail so every bin has a healthy expectation
-    observed = np.append(observed[:3], observed[3:].sum())
-    expected = np.append(expected[:3], expected[3:].sum())
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    assert chi2 < stats.chi2.ppf(1.0 - 0.001, df=len(observed) - 1)
-
-
-def test_sample_coherent_amplitudes():
-    spec = SourceSpec(0.3, 0.2, blocked=BlockedArm.BLOCK_B)
-    rng = np.random.default_rng(5)
-    amp_a, amp_b = sample_coherent_amplitudes(spec, rng)
-    assert amp_b == 0.0
-    assert abs(amp_a) ** 2 == pytest.approx(0.3, rel=1e-12)
-
-    n = 1_000_000
-    rng = np.random.default_rng(6)
-    spec = SourceSpec(1.0, 0.0)
-    mean_phase = (
-        sum(sample_coherent_amplitudes(spec, rng)[0] for _ in range(n)) / n
-    )
-    assert abs(mean_phase) < 3.0 / math.sqrt(n)
