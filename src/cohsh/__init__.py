@@ -33,10 +33,8 @@ from .fock import (
 from .elements import (
     ModeTransform,
     apply,
-    apply_to_mixture,
     beam_splitter,
     compose,
-    identity_transform,
     phase_shift,
     polarization_rotator,
 )

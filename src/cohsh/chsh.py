@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from enum import Enum
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,7 +52,11 @@ BELL_TEST_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 _STREAM_CHSH = 1
 _STREAM_SWEEP = 2
 
-_MODES = ("exact", "mc_fock", "mc_coherent")
+
+class RunMode(str, Enum):
+    EXACT = "exact"
+    MC_FOCK = "mc_fock"
+    MC_COHERENT = "mc_coherent"
 
 
 def setting_quad(
@@ -132,16 +137,7 @@ def subtract_background(
             )
     raw = full.values() - blocked_a.values() - blocked_b.values()
     clamped = float(-raw[raw < 0].sum())
-    table = CountTable.from_values(
-        np.clip(raw, 0.0, None),
-        trials=full.trials,
-        alpha=full.alpha,
-        beta=full.beta,
-        mu_a=full.mu_a,
-        mu_b=full.mu_b,
-        blocked=BlockedArm.NONE if full.blocked is not None else None,
-    )
-    return table, clamped
+    return full.with_values(np.clip(raw, 0.0, None)), clamped
 
 
 def correlation_E(c_table: CountTable) -> SubtractedCorrelation:
@@ -163,7 +159,11 @@ def correlation_E(c_table: CountTable) -> SubtractedCorrelation:
 
 
 def chsh_S(quad: Sequence[SubtractedCorrelation]) -> ChshResult:
-    """S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| with quadrature error."""
+    """S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| with quadrature error.
+
+    Only ``e_value`` and ``std_error`` of each entry are read, so the
+    repetition means of run_chsh enter the same way as single correlations.
+    """
     if len(quad) != 4:
         raise ValueError(f"need exactly four correlations, got {len(quad)}")
     e = tuple(c.e_value for c in quad)
@@ -238,23 +238,11 @@ def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceS
 
 
 def _one_table(spec, setting, detector, mode, trials, seed, cell_key):
-    if mode == "exact":
+    if mode is RunMode.EXACT:
         return exact_rates(spec, setting, detector)
     rng = derive_rng(seed, *cell_key)
-    runner = run_montecarlo_fock if mode == "mc_fock" else run_montecarlo_coherent
+    runner = run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
     return runner(spec, setting, detector, trials, rng)
-
-
-def _rescaled(table: CountTable, factor: float) -> CountTable:
-    return CountTable.from_values(
-        table.values() * factor,
-        trials=table.trials,
-        alpha=table.alpha,
-        beta=table.beta,
-        mu_a=table.mu_a,
-        mu_b=table.mu_b,
-        blocked=table.blocked,
-    )
 
 
 def _common_normalization(
@@ -278,8 +266,8 @@ def _common_normalization(
     eff = detector.efficiency
     return (
         full,
-        _rescaled(blocked_a, math.exp(-eff * spec.mu_a)),
-        _rescaled(blocked_b, math.exp(-eff * spec.mu_b)),
+        blocked_a.with_values(blocked_a.values() * math.exp(-eff * spec.mu_a)),
+        blocked_b.with_values(blocked_b.values() * math.exp(-eff * spec.mu_b)),
     )
 
 
@@ -287,7 +275,7 @@ def measure_protocol(
     spec: SourceSpec,
     setting: AnalyzerSetting,
     detector: DetectorModel,
-    mode: str = "exact",
+    mode: RunMode | str = RunMode.EXACT,
     trials: int = 0,
     seed: int | None = None,
     cell_key: tuple[int, ...] = (),
@@ -301,9 +289,8 @@ def measure_protocol(
     are rescaled to the full-run normalization before subtraction (see
     _common_normalization).
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if mode != "exact":
+    mode = RunMode(mode)
+    if mode is not RunMode.EXACT:
         if trials < 1:
             raise ValueError("Monte Carlo modes need trials >= 1")
         if seed is None:
@@ -314,6 +301,40 @@ def measure_protocol(
     )
     c_table, clamped = subtract_background(*_common_normalization(tables, spec, detector))
     return correlation_E(c_table), tables, clamped
+
+
+class _Repeated(NamedTuple):
+    e_value: float
+    std_error: float
+    tables: tuple[CountTable, ...]
+    clamped: float
+
+
+def _repeated_protocol(
+    spec, setting, detector, mode, trials, repetitions, seed, cell_key
+) -> _Repeated:
+    """The three-configuration protocol at one setting, repeated.
+
+    Returns the mean correlation over the repetitions, its error, every raw
+    table in (repetition, configuration) order, and the total clamped weight.
+    The error is the standard deviation over repetitions when there are
+    several, else the single run's std_error (multinomial for counts, zero
+    for exact rates).  Exact mode runs once whatever ``repetitions`` says.
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    if RunMode(mode) is RunMode.EXACT:
+        repetitions = 1
+    es, tables, clamped_total = [], [], 0.0
+    for rep in range(repetitions):
+        corr, raw, clamped = measure_protocol(
+            spec, setting, detector, mode, trials, seed, cell_key + (rep,)
+        )
+        es.append(corr.e_value)
+        tables.extend(raw)
+        clamped_total += clamped
+    error = float(np.std(es, ddof=1)) if repetitions > 1 else corr.std_error
+    return _Repeated(float(np.mean(es)), error, tuple(tables), clamped_total)
 
 
 @dataclass(frozen=True)
@@ -329,7 +350,7 @@ def sweep_correlation(
     spec: SourceSpec,
     detector: DetectorModel,
     thetas: Sequence[float],
-    mode: str = "exact",
+    mode: RunMode | str = RunMode.EXACT,
     trials: int = 0,
     repetitions: int = 1,
     seed: int | None = None,
@@ -337,34 +358,22 @@ def sweep_correlation(
     """Correlation E versus difference angle via the subtraction protocol.
 
     Each theta is measured at the setting (alpha=theta, beta=0).  Monte Carlo
-    modes repeat the protocol ``repetitions`` times and report the mean and
-    the standard deviation over the repetitions; exact mode runs once and
-    reports zero spread.
+    modes repeat the protocol ``repetitions`` times and report the mean; the
+    error ``e_std`` follows the module's convention: the standard deviation
+    over repetitions when there are several, the multinomial error of the
+    single count table otherwise.  Exact mode runs once, reports zero error,
+    and records zero trials and one repetition.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    exact = RunMode(mode) is RunMode.EXACT
     points = []
     for t_idx, theta in enumerate(thetas):
         setting = AnalyzerSetting(alpha=float(theta), beta=0.0)
-        if mode == "exact":
-            corr, _, _ = measure_protocol(spec, setting, detector, mode)
-            points.append(SweepPoint(float(theta), corr.e_value, 0.0, 0, 1))
-            continue
-        es = []
-        for rep in range(repetitions):
-            corr, _, _ = measure_protocol(
-                spec,
-                setting,
-                detector,
-                mode,
-                trials,
-                seed,
-                cell_key=(_STREAM_SWEEP, t_idx, rep),
-            )
-            es.append(corr.e_value)
-        mean = float(np.mean(es))
-        std = float(np.std(es, ddof=1)) if repetitions > 1 else 0.0
-        points.append(SweepPoint(float(theta), mean, std, trials, repetitions))
+        e, err, _, _ = _repeated_protocol(
+            spec, setting, detector, mode, trials, repetitions, seed, (_STREAM_SWEEP, t_idx)
+        )
+        points.append(
+            SweepPoint(float(theta), e, err, 0 if exact else trials, 1 if exact else repetitions)
+        )
     return points
 
 
@@ -381,7 +390,7 @@ def run_chsh(
     spec: SourceSpec,
     detector: DetectorModel,
     angles: tuple[float, float, float, float] = BELL_TEST_ANGLES,
-    mode: str = "exact",
+    mode: RunMode | str = RunMode.EXACT,
     trials: int = 0,
     repetitions: int = 1,
     seed: int | None = None,
@@ -389,39 +398,18 @@ def run_chsh(
     """CHSH statistic from the three-configuration protocol at four settings.
 
     Monte Carlo modes repeat every (setting, configuration) cell
-    ``repetitions`` times; the reported E values are means over repetitions,
-    their errors are the standard deviations over repetitions, and the S
-    error combines the four E errors in quadrature.
+    ``repetitions`` times; the reported E values are means over repetitions
+    with errors as in sweep_correlation, and the S error combines the four E
+    errors in quadrature.
     """
-    settings = setting_quad(*angles)
-    if mode == "exact":
-        repetitions = 1
-    e_means, e_errs, tables_out = [], [], []
-    clamped_total = 0.0
-    for s_idx, setting in enumerate(settings):
-        es = []
-        for rep in range(repetitions):
-            corr, tables, clamped = measure_protocol(
-                spec,
-                setting,
-                detector,
-                mode,
-                trials,
-                seed,
-                cell_key=(_STREAM_CHSH, s_idx, rep),
-            )
-            es.append(corr.e_value)
-            tables_out.extend(tables)
-            clamped_total += clamped
-        e_means.append(float(np.mean(es)))
-        if mode == "exact":
-            e_errs.append(0.0)
-        elif repetitions > 1:
-            e_errs.append(float(np.std(es, ddof=1)))
-        else:
-            e_errs.append(corr.std_error)
-    e = tuple(e_means)
-    s = abs(e[0] - e[1] + e[2] + e[3])
-    s_err = math.sqrt(sum(x * x for x in e_errs))
-    result = ChshResult(e, tuple(e_errs), s, s_err)
-    return ChshRun(result, tuple(tables_out), clamped_total)
+    quad = [
+        _repeated_protocol(
+            spec, setting, detector, mode, trials, repetitions, seed, (_STREAM_CHSH, s_idx)
+        )
+        for s_idx, setting in enumerate(setting_quad(*angles))
+    ]
+    return ChshRun(
+        chsh_S(quad),
+        tuple(t for q in quad for t in q.tables),
+        sum(q.clamped for q in quad),
+    )

@@ -22,14 +22,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .chsh import fit_visibility, run_chsh, sweep_correlation
+from .chsh import fit_visibility, measure_protocol, run_chsh, sweep_correlation
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -170,7 +169,7 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
         _protocol_source(cfg),
         cfg.detector,
         cfg.quad,
-        mode=cfg.mode.value,
+        mode=cfg.mode,
         trials=cfg.trials,
         repetitions=cfg.repetitions,
         seed=cfg.seed,
@@ -205,7 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _protocol_source(cfg),
         cfg.detector,
         cfg.sweep,
-        mode=cfg.mode.value,
+        mode=cfg.mode,
         trials=cfg.trials,
         repetitions=cfg.repetitions,
         seed=cfg.seed,
@@ -297,19 +296,10 @@ def validation_checks(bs_angle: float = math.pi / 4) -> list[tuple[str, bool, st
 
     worst = 0.0
     for theta in (0.0, math.pi / 8, math.pi / 4, 1.0, 2.5):
-        table = _subtracted_exact(spec, AnalyzerSetting(theta, 0.0), detector)
-        e = (table[0] - table[1] - table[2] + table[3]) / table.sum()
-        worst = max(worst, abs(e + math.cos(2.0 * theta)))
+        corr, _, _ = measure_protocol(spec, AnalyzerSetting(theta, 0.0), detector)
+        worst = max(worst, abs(corr.e_value + math.cos(2.0 * theta)))
     checks.append(("singlet-law", worst < 1e-9, f"max |E + cos 2t| = {worst:.3e} (tol 1e-9)"))
     return checks
-
-
-def _subtracted_exact(spec, setting, detector) -> np.ndarray:
-    tables = [
-        exact_rates(replace(spec, blocked=arm), setting, detector).values()
-        for arm in (BlockedArm.NONE, BlockedArm.BLOCK_A, BlockedArm.BLOCK_B)
-    ]
-    return tables[0] - tables[1] - tables[2]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -34,19 +34,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .chsh import BELL_TEST_ANGLES
+from .chsh import BELL_TEST_ANGLES, RunMode
 from .measurement import SEED_LIMIT, CoincidenceSemantics, DetectorModel
 from .source import BlockedArm, SourceSpec
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
-
-
-class RunMode(str, Enum):
-    EXACT = "exact"
-    MC_FOCK = "mc_fock"
-    MC_COHERENT = "mc_coherent"
 
 
 class OutputFormat(str, Enum):

@@ -34,7 +34,6 @@ from .fock import (
     MODES,
     N_MODES,
     PRUNE_EPS,
-    DensityMixture,
     FockBasisState,
     ModeLabel,
     Polarization,
@@ -82,10 +81,6 @@ class ModeTransform:
                 [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
             ],
         }
-
-
-def identity_transform() -> ModeTransform:
-    return ModeTransform(np.eye(N_MODES, dtype=complex))
 
 
 def beam_splitter(
@@ -206,9 +201,3 @@ def apply(transform: ModeTransform, state: StateVector) -> StateVector:
             acc[mono] = acc.get(mono, 0j) + amp * coeff
     return StateVector({FockBasisState(occ): a for occ, a in acc.items()})
 
-
-def apply_to_mixture(transform: ModeTransform, mixture: DensityMixture) -> DensityMixture:
-    """Propagate every component of a mixture (weights unchanged)."""
-    return DensityMixture(
-        tuple((w, apply(transform, s)) for w, s in mixture.components)
-    )

@@ -16,7 +16,6 @@ serialized output is byte-stable.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -177,14 +176,6 @@ class StateVector:
     def scaled(self, factor: complex) -> "StateVector":
         return StateVector({s: a * factor for s, a in self._amp.items()})
 
-    def inner_product(self, other: "StateVector") -> complex:
-        """<self|other>, conjugate-linear in self."""
-        if len(other) < len(self):
-            return complex(sum(other._amp[s].conjugate() * a
-                               for s, a in self._amp.items() if s in other._amp)).conjugate()
-        return complex(sum(a.conjugate() * other._amp[s]
-                           for s, a in self._amp.items() if s in other._amp))
-
     def support_modes(self) -> set[ModeLabel]:
         """Modes occupied by at least one term."""
         support: set[ModeLabel] = set()
@@ -193,28 +184,6 @@ class StateVector:
                 if n:
                     support.add(mode)
         return support
-
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Composite of two states living on disjoint mode sets."""
-        overlap = self.support_modes() & other.support_modes()
-        if overlap:
-            names = ",".join(sorted(m.name for m in overlap))
-            raise ValueError(f"tensor factors share modes: {names}")
-        out: dict[FockBasisState, complex] = {}
-        for left, la in self._amp.items():
-            for right, ra in other._amp.items():
-                occ = tuple(x + y for x, y in zip(left.occ, right.occ))
-                out[FockBasisState(occ)] = la * ra
-        return StateVector(out)
-
-    def truncate(self, n_max: int | None) -> "StateVector":
-        """Drop terms with total photon number above n_max (None keeps all)."""
-        if n_max is None:
-            return self
-        kept = {s: a for s, a in self._amp.items() if s.total_photons <= n_max}
-        if not kept:
-            raise ValueError(f"truncation at n_max={n_max} removed every term")
-        return StateVector(kept)
 
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
         keys = set(self._amp) | set(other._amp)
@@ -278,32 +247,6 @@ class DensityMixture:
 
     def total_weight(self) -> float:
         return sum(w for w, _ in self.components)
-
-    def truncate(self, n_max: int | None) -> tuple["DensityMixture", float]:
-        """Remove basis states above n_max photons.
-
-        Returns the renormalized mixture together with the total discarded
-        weight.  Components that lose every term are dropped with a warning;
-        callers that need an error for that case should truncate the pure
-        state directly.
-        """
-        if n_max is None:
-            return self, 0.0
-        kept: list[tuple[float, StateVector]] = []
-        for weight, state in self.components:
-            parts = {s: a for s, a in state._amp.items() if s.total_photons <= n_max}
-            survived = sum(a.real * a.real + a.imag * a.imag for a in parts.values())
-            if survived <= PRUNE_EPS:
-                warnings.warn(
-                    f"mixture component fully removed by truncation at n_max={n_max}",
-                    stacklevel=2,
-                )
-                continue
-            kept.append((weight * survived, StateVector(parts).normalize()))
-        if not kept:
-            raise ValueError(f"truncation at n_max={n_max} removed the whole mixture")
-        discarded = self.total_weight() - sum(w for w, _ in kept)
-        return DensityMixture.from_components(kept), max(0.0, discarded)
 
     def to_json_obj(self) -> list[dict]:
         return [

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -142,6 +142,11 @@ class CountTable:
         pp, pm, mp, mm = (float(v) for v in values)
         return cls(pp, pm, mp, mm, **meta)
 
+    def with_values(self, values: np.ndarray) -> "CountTable":
+        """Copy with the four cells replaced and the metadata kept."""
+        pp, pm, mp, mm = (float(v) for v in values)
+        return replace(self, n_pp=pp, n_pm=pm, n_mp=mp, n_mm=mm)
+
     def values(self) -> np.ndarray:
         return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float)
 
@@ -206,25 +211,33 @@ def _click_pattern(occ: tuple[int, ...]) -> int:
     return sum(1 << k for k, mode in enumerate(_DET_MODES) if occ[mode])
 
 
-def _raw_cell_probs(
+def _empty_outcomes(semantics: CoincidenceSemantics) -> np.ndarray:
+    return np.zeros(4 if semantics is CoincidenceSemantics.EXACT_ONE_ONE else len(_PATTERNS))
+
+
+def _outcome_probs(
     state: StateVector, transform: ModeTransform, semantics: CoincidenceSemantics
 ) -> np.ndarray:
-    """Coincidence probabilities of one pure state, before detector effects."""
-    out = apply(transform, state)
-    cells = np.zeros(4)
-    for bstate, amp in out.items():
+    """Outcome probabilities of one pure state, before detector effects.
+
+    The layout of every outcome table: the four cells for exact_one_one, the
+    16 click patterns for threshold.
+    """
+    probs = _empty_outcomes(semantics)
+    for bstate, amp in apply(transform, state).items():
         p = amp.real * amp.real + amp.imag * amp.imag
-        if semantics is CoincidenceSemantics.EXACT_ONE_ONE:
-            cell = _classify_exact(bstate.occ)
-            if cell is not None:
-                cells[cell] += p
-        else:
-            cells += p * _PATTERN_CELLS[_click_pattern(bstate.occ)]
-    return cells
+        if semantics is CoincidenceSemantics.THRESHOLD:
+            probs[_click_pattern(bstate.occ)] += p
+        elif (cell := _classify_exact(bstate.occ)) is not None:
+            probs[cell] += p
+    return probs
 
 
-def _finalize_cells(cells: np.ndarray, detector: DetectorModel) -> np.ndarray:
-    """Apply visibility mixing and the pair-detection efficiency factor."""
+def _finalize_cells(outcomes: np.ndarray, detector: DetectorModel) -> np.ndarray:
+    """Bin outcomes into the four cells; apply visibility and the pair efficiency."""
+    cells = outcomes
+    if detector.semantics is CoincidenceSemantics.THRESHOLD:
+        cells = outcomes @ _PATTERN_CELLS
     eta = detector.visibility_eta
     mixed = eta * cells + (1.0 - eta) / 4.0 * cells.sum()
     return mixed * detector.efficiency**2
@@ -253,11 +266,11 @@ def coincidence_probabilities(
     for _, component in input_state.components:
         support |= {mode.port for mode in component.support_modes()}
     transform = _transform_for(support, setting)
-    cells = np.zeros(4)
+    outcomes = _empty_outcomes(detector.semantics)
     for weight, component in input_state.components:
-        cells += weight * _raw_cell_probs(component, transform, detector.semantics)
+        outcomes += weight * _outcome_probs(component, transform, detector.semantics)
     return CountTable.from_values(
-        _finalize_cells(cells, detector),
+        _finalize_cells(outcomes, detector),
         trials=0,
         alpha=setting.alpha,
         beta=setting.beta,
@@ -276,16 +289,16 @@ def exact_rates(
     mixture, _ = two_mode_input(spec)
     transform = compose(RECOMBINER, analyzer_transform(setting))
     mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
-    cells = np.zeros(4)
+    outcomes = _empty_outcomes(detector.semantics)
     for weight, component in mixture.components:
         (bstate, _), = component.items()
         i, j = bstate.count(AH), bstate.count(BV)
         coeff = mu_a**i / math.factorial(i) * mu_b**j / math.factorial(j)
         if coeff == 0.0:
             continue
-        cells += coeff * _raw_cell_probs(component, transform, detector.semantics)
+        outcomes += coeff * _outcome_probs(component, transform, detector.semantics)
     return CountTable.from_values(
-        _finalize_cells(cells, detector),
+        _finalize_cells(outcomes, detector),
         trials=0,
         alpha=setting.alpha,
         beta=setting.beta,
@@ -387,17 +400,15 @@ def _sector_table(
     (threshold).  Read-only: one array is shared by every caller.
     """
     transform = compose(RECOMBINER, analyzer_transform(setting))
-    exact = semantics is CoincidenceSemantics.EXACT_ONE_ONE
-    table = np.zeros((n_max + 1, n_max + 1, 4 if exact else len(_PATTERNS)))
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            out = apply(transform, StateVector.from_basis(basis_state(aH=i, bV=j)))
-            for bstate, amp in out.items():
-                p = amp.real * amp.real + amp.imag * amp.imag
-                if not exact:
-                    table[i, j, _click_pattern(bstate.occ)] += p
-                elif (cell := _classify_exact(bstate.occ)) is not None:
-                    table[i, j, cell] += p
+    table = np.array(
+        [
+            [
+                _outcome_probs(StateVector.from_basis(basis_state(aH=i, bV=j)), transform, semantics)
+                for j in range(n_max + 1)
+            ]
+            for i in range(n_max + 1)
+        ]
+    )
     table.setflags(write=False)
     return table
 

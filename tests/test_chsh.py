@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cohsh.chsh import (
+    _STREAM_CHSH,
+    _STREAM_SWEEP,
     BELL_TEST_ANGLES,
     SubtractedCorrelation,
     bell_angle_S,
@@ -296,3 +298,41 @@ def test_measure_protocol_validation():
     blocked = SourceSpec(0.05, 0.05, blocked=BlockedArm.BLOCK_A)
     with pytest.raises(ValueError):
         measure_protocol(blocked, AnalyzerSetting(0, 0), IDEAL)
+
+
+def test_repetitions_must_be_positive():
+    spec = SourceSpec(0.05, 0.05)
+    mc = dict(mode="mc_coherent", trials=1000, seed=3)
+    for kwargs in ({}, mc):
+        with pytest.raises(ValueError, match="repetitions"):
+            run_chsh(spec, IDEAL, repetitions=0, **kwargs)
+        with pytest.raises(ValueError, match="repetitions"):
+            sweep_correlation(spec, IDEAL, (0.0, 1.0), repetitions=0, **kwargs)
+
+
+def test_single_repetition_reports_multinomial_error():
+    spec = SourceSpec(0.05, 0.05)
+    theta, trials, seed = math.pi / 8, 200_000, 19
+    (point,) = sweep_correlation(
+        spec, IDEAL, (theta,), mode="mc_coherent", trials=trials, repetitions=1, seed=seed
+    )
+    corr, _, _ = measure_protocol(
+        spec,
+        AnalyzerSetting(theta, 0.0),
+        IDEAL,
+        "mc_coherent",
+        trials,
+        seed,
+        cell_key=(_STREAM_SWEEP, 0, 0),
+    )
+    assert point.e_mean == corr.e_value
+    expected = math.sqrt((1.0 - corr.e_value**2) / corr.c_table.total)
+    assert point.e_std == pytest.approx(expected, rel=1e-12)
+    assert point.e_std > 0.0
+    # run_chsh follows the same convention
+    run = run_chsh(spec, IDEAL, mode="mc_coherent", trials=trials, repetitions=1, seed=seed)
+    for s_idx, setting in enumerate(setting_quad(*BELL_TEST_ANGLES)):
+        corr, _, _ = measure_protocol(
+            spec, setting, IDEAL, "mc_coherent", trials, seed, cell_key=(_STREAM_CHSH, s_idx, 0)
+        )
+        assert run.result.e_errors[s_idx] == corr.std_error > 0.0

@@ -11,7 +11,6 @@ from cohsh.elements import (
     apply,
     beam_splitter,
     compose,
-    identity_transform,
     phase_shift,
     polarization_rotator,
 )
@@ -96,7 +95,7 @@ def test_phase_shift():
 
 
 def test_compose_identity_inverse_additivity():
-    ident = identity_transform()
+    ident = ModeTransform(np.eye(8, dtype=complex))
     assert np.allclose(compose(ident, BS).matrix, BS.matrix)
     inverse = ModeTransform(BS.matrix.conj().T)
     assert compose(BS, inverse).unitarity_defect() < 1e-12
@@ -109,7 +108,7 @@ def test_compose_identity_inverse_additivity():
 
 def test_apply_identity_and_unitarity_guard():
     state = psi_minus()
-    assert apply(identity_transform(), state).allclose(state)
+    assert apply(ModeTransform(np.eye(8, dtype=complex)), state).allclose(state)
     broken = ModeTransform(np.eye(8) * 1.5)
     with pytest.raises(ValueError):
         apply(broken, state)
@@ -122,7 +121,7 @@ def _random_transform(rng) -> ModeTransform:
         phase_shift(Port(rng.choice(list("abcd"))), rng.uniform(0, 2 * math.pi)),
         beam_splitter(Port.C, Port.D, rng.uniform(0, math.pi)),
     ]
-    transform = identity_transform()
+    transform = ModeTransform(np.eye(8, dtype=complex))
     for _ in range(int(rng.integers(1, 5))):
         transform = compose(transform, elements[int(rng.integers(0, len(elements)))])
     return transform

@@ -1,8 +1,7 @@
-"""Fock-core: basis states, sparse vectors, mixtures, truncation, serialization."""
+"""Fock-core: basis states, sparse vectors, mixtures, serialization."""
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from cohsh.fock import (
     basis_state,
     density_matrix,
 )
-from cohsh.source import poisson_pmf
 
 SQRT2 = math.sqrt(2.0)
 
@@ -91,108 +89,10 @@ def test_normalize_degenerate_inputs():
         StateVector({basis_state(aH=1): 0.0}).normalize()
 
 
-def test_inner_products():
-    psi, phi = psi_minus(), phi_plus()
-    assert psi.inner_product(psi) == pytest.approx(1.0)
-    assert psi.inner_product(phi) == pytest.approx(0.0)
-    one_c = StateVector.from_basis(basis_state(cH=1))
-    one_d = StateVector.from_basis(basis_state(dH=1))
-    assert one_c.inner_product(one_d) == 0.0
-    # conjugate-linear in the left argument
-    scaled = one_c.scaled(2j)
-    assert scaled.inner_product(one_c) == pytest.approx(-2j)
-    assert one_c.inner_product(scaled) == pytest.approx(2j)
-
-
-def test_tensor_basics():
-    a = StateVector.from_basis(basis_state(aH=1))
-    b = StateVector.from_basis(basis_state(bV=1))
-    ab = a.tensor(b)
-    assert ab.amplitude(basis_state(aH=1, bV=1)) == pytest.approx(1.0)
-
-    superpos = StateVector({VACUUM: 1 / SQRT2, basis_state(aH=1): 1 / SQRT2})
-    out = superpos.tensor(b)
-    assert out.amplitude(basis_state(bV=1)) == pytest.approx(1 / SQRT2)
-    assert out.amplitude(basis_state(aH=1, bV=1)) == pytest.approx(1 / SQRT2)
-
-    with pytest.raises(ValueError):
-        a.tensor(a)
-
-
-def test_tensor_norm_multiplicative():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        left = StateVector(
-            {
-                basis_state(aH=int(rng.integers(0, 3))): complex(*rng.normal(size=2)),
-                basis_state(aV=1): complex(*rng.normal(size=2)),
-            }
-        )
-        right = StateVector(
-            {
-                basis_state(cH=int(rng.integers(0, 3))): complex(*rng.normal(size=2)),
-                basis_state(dV=2): complex(*rng.normal(size=2)),
-            }
-        )
-        assert left.tensor(right).norm() == pytest.approx(left.norm() * right.norm())
-
-
 def test_pruning_threshold():
     s = StateVector({basis_state(aH=1): 1.0, basis_state(bV=1): 1e-16})
     assert len(s) == 1
     assert s.amplitude(basis_state(bV=1)) == 0.0
-
-
-def test_truncate_poisson_tail():
-    # Single-mode Poisson mixture, mu = 0.1, truncated at two photons.
-    mu = 0.1
-    mixture = DensityMixture.from_components(
-        (poisson_pmf(mu, n), StateVector.from_basis(basis_state(aH=n))) for n in range(30)
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # tail components vanish by design
-        truncated, discarded = mixture.truncate(2)
-    expected = 1.0 - math.exp(-mu) * (1.0 + mu + mu**2 / 2.0)
-    assert discarded == pytest.approx(expected, abs=1e-12)
-    assert truncated.total_weight() == pytest.approx(1.0, abs=1e-12)
-    assert all(s.items()[0][0].total_photons <= 2 for _, s in truncated.components)
-
-
-def test_truncate_no_op_sentinel():
-    mixture = DensityMixture.from_components(
-        [(0.5, StateVector.from_basis(basis_state(aH=1))), (0.5, StateVector.from_basis(VACUUM))]
-    )
-    same, discarded = mixture.truncate(None)
-    assert same is mixture
-    assert discarded == 0.0
-
-
-def test_truncate_monotone_in_cutoff():
-    mixture = DensityMixture.from_components(
-        (poisson_pmf(0.3, n), StateVector.from_basis(basis_state(aH=n))) for n in range(12)
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # cut components are expected here
-        discards = [mixture.truncate(n)[1] for n in range(6)]
-    assert all(a >= b for a, b in zip(discards, discards[1:]))
-
-
-def test_truncate_pure_state_to_nothing_is_error():
-    with pytest.raises(ValueError):
-        StateVector.from_basis(basis_state(aH=2)).truncate(1)
-
-
-def test_truncate_drops_dead_component_with_warning():
-    mixture = DensityMixture.from_components(
-        [
-            (0.5, StateVector.from_basis(basis_state(aH=2))),
-            (0.5, StateVector.from_basis(basis_state(aH=1))),
-        ]
-    )
-    with pytest.warns(UserWarning):
-        truncated, discarded = mixture.truncate(1)
-    assert discarded == pytest.approx(0.5)
-    assert len(truncated.components) == 1
 
 
 def test_mixture_weight_invariants():
