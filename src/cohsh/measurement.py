@@ -19,7 +19,8 @@ equals the normally-ordered pair-detection rate, which is exactly bilinear in
 
 is an identity, the three-configuration background subtraction cancels the
 separable terms exactly, and the normalized correlation E is independent of
-the overall scale anyway.
+the overall scale anyway.  exact_one_one registers only the two-photon
+sector i + j = 2, so exact mode propagates only that sector.
 
 Detector model.  Visibility eta mixes the ideal outcome distribution with a
 uniform relabeling of coincidences (E_measured = eta * E_ideal exactly);
@@ -215,6 +216,16 @@ def _empty_outcomes(semantics: CoincidenceSemantics) -> np.ndarray:
     return np.zeros(4 if semantics is CoincidenceSemantics.EXACT_ONE_ONE else len(_PATTERNS))
 
 
+def _can_register(i: int, j: int, semantics: CoincidenceSemantics) -> bool:
+    """Whether input sector |i_aH, j_bV> can give a nonzero outcome row.
+
+    The optics conserve photon number and exact_one_one needs exactly one
+    photon at each output port, so only i + j == 2 registers; every sector
+    contributes to the 16 threshold click patterns.
+    """
+    return semantics is CoincidenceSemantics.THRESHOLD or i + j == 2
+
+
 def _outcome_probs(
     state: StateVector, transform: ModeTransform, semantics: CoincidenceSemantics
 ) -> np.ndarray:
@@ -284,8 +295,12 @@ def exact_rates(
 
     Each component is weighted by its rate coefficient relative to the vacuum
     window (see the module docstring), which makes the rates exactly bilinear
-    in the two mean photon numbers.
+    in the two mean photon numbers.  Sectors that cannot register are skipped
+    unpropagated.  Dark counts are not modeled here; use the coherent sampler
+    for that.
     """
+    if detector.dark_rate > 0.0:
+        raise ValueError("exact mode does not model dark counts; use mc_coherent")
     mixture, _ = two_mode_input(spec)
     transform = compose(RECOMBINER, analyzer_transform(setting))
     mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
@@ -293,6 +308,8 @@ def exact_rates(
     for weight, component in mixture.components:
         (bstate, _), = component.items()
         i, j = bstate.count(AH), bstate.count(BV)
+        if not _can_register(i, j, detector.semantics):
+            continue
         coeff = mu_a**i / math.factorial(i) * mu_b**j / math.factorial(j)
         if coeff == 0.0:
             continue
@@ -397,18 +414,16 @@ def _sector_table(
     """Outcome probabilities of every input sector |i_aH, j_bV>, i, j <= n_max.
 
     Axis 2 holds the four cells (exact_one_one) or the 16 click patterns
-    (threshold).  Read-only: one array is shared by every caller.
+    (threshold); rows of sectors that cannot register stay zero.  Read-only:
+    one array is shared by every caller.
     """
     transform = compose(RECOMBINER, analyzer_transform(setting))
-    table = np.array(
-        [
-            [
-                _outcome_probs(StateVector.from_basis(basis_state(aH=i, bV=j)), transform, semantics)
-                for j in range(n_max + 1)
-            ]
-            for i in range(n_max + 1)
-        ]
-    )
+    table = np.zeros((n_max + 1, n_max + 1, len(_empty_outcomes(semantics))))
+    for i in range(n_max + 1):
+        for j in range(n_max + 1):
+            if _can_register(i, j, semantics):
+                state = StateVector.from_basis(basis_state(aH=i, bV=j))
+                table[i, j] = _outcome_probs(state, transform, semantics)
     table.setflags(write=False)
     return table
 

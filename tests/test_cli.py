@@ -73,6 +73,12 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exact_mode_rejects_dark_counts(tmp_path, capsys):
+    path = write_config(tmp_path, detector={"dark_rate": 1e-3})
+    assert main(["chsh", "--config", path]) == 2
+    assert "dark counts" in capsys.readouterr().err
+
+
 def test_cli_chsh_exact_tsirelson(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = main(["chsh", "--config", write_config(tmp_path), "--out", str(out)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cohsh import measurement
+from cohsh.elements import compose
 from cohsh.fock import DensityMixture, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
@@ -124,7 +125,7 @@ def test_exact_rates_two_photon_decomposition():
         coeff * coincidence_probabilities(mix, setting, IDEAL).values()
         for coeff, mix in zip(terms, states)
     )
-    assert np.abs(table - decomposed).max() < 1e-6
+    assert np.abs(table - decomposed).max() < 1e-15
     # sector-conditioned form: same decomposition through the mixture weights
     sector = two_photon_component(spec)
     total_rate = sum(terms)
@@ -135,6 +136,86 @@ def test_exact_rates_two_photon_decomposition():
         for weight, state in sector.components
     )
     assert np.abs(table - recombined).max() < 1e-12
+
+
+def test_exact_rates_rejects_dark_counts():
+    with pytest.raises(ValueError, match="dark counts"):
+        exact_rates(SourceSpec(0.05, 0.05), AnalyzerSetting(0.0, 0.3), DetectorModel(dark_rate=1e-3))
+
+
+def _full_sector_table(setting, n_max, semantics):
+    """Outcome rows of every sector |i_aH, j_bV>, each propagated."""
+    transform = compose(measurement.RECOMBINER, analyzer_transform(setting))
+    return np.array(
+        [
+            [
+                measurement._outcome_probs(
+                    StateVector.from_basis(basis_state(aH=i, bV=j)), transform, semantics
+                )
+                for j in range(n_max + 1)
+            ]
+            for i in range(n_max + 1)
+        ]
+    )
+
+
+def test_exact_one_one_registers_only_two_photon_sectors():
+    """Photon number is conserved, so i + j != 2 never gives one photon per port."""
+    semantics = CoincidenceSemantics.EXACT_ONE_ONE
+    for alpha, beta in ((0.0, 0.0), (0.0, math.pi / 8), (0.3, 1.1), (2.0, -0.4)):
+        setting = AnalyzerSetting(alpha, beta)
+        full = _full_sector_table(setting, 6, semantics)
+        for i in range(7):
+            for j in range(7):
+                assert measurement._can_register(i, j, semantics) == (i + j == 2)
+                if i + j != 2:
+                    assert not full[i, j].any(), (i, j)
+        assert np.array_equal(measurement._sector_table(setting, 6, semantics), full)
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_exact_rates_equals_sum_over_every_sector(semantics):
+    """Skipping the sectors that cannot register leaves every rate bit-identical."""
+    detector = DetectorModel(visibility_eta=0.9, efficiency=0.7, semantics=semantics)
+    setting = AnalyzerSetting(0.3, 1.1)
+    full = _full_sector_table(setting, 6, semantics)
+    for n_max in range(7):
+        for arm in BlockedArm:
+            spec = SourceSpec(0.3, 0.2, n_max=n_max, blocked=arm)
+            mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
+            outcomes = measurement._empty_outcomes(semantics)
+            for i in range(n_max + 1):
+                for j in range(n_max + 1):
+                    coeff = mu_a**i / math.factorial(i) * mu_b**j / math.factorial(j)
+                    if coeff != 0.0:
+                        outcomes += coeff * full[i, j]
+            reference = measurement._finalize_cells(outcomes, detector)
+            assert np.array_equal(exact_rates(spec, setting, detector).values(), reference)
+
+
+def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
+    """Work-count guard: how many states exact_rates sends through the optics."""
+    calls = []
+    original = measurement.apply
+
+    def counting_apply(transform, state):
+        calls.append(state)
+        return original(transform, state)
+
+    monkeypatch.setattr(measurement, "apply", counting_apply)
+    setting = AnalyzerSetting(0.0, math.pi / 8)
+
+    def count(arm, semantics):
+        calls.clear()
+        spec = SourceSpec(0.05, 0.05, n_max=6, blocked=arm)
+        exact_rates(spec, setting, DetectorModel(semantics=semantics))
+        return len(calls)
+
+    exact = CoincidenceSemantics.EXACT_ONE_ONE
+    assert count(BlockedArm.NONE, exact) == 3
+    assert count(BlockedArm.BLOCK_A, exact) == 1
+    assert count(BlockedArm.BLOCK_B, exact) == 1
+    assert count(BlockedArm.NONE, CoincidenceSemantics.THRESHOLD) == 7**2
 
 
 def test_exact_rates_efficiency_scaling():
