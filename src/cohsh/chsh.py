@@ -39,6 +39,7 @@ from .measurement import (
     CountTable,
     DetectorModel,
     derive_rng,
+    detected_means,
     exact_rates,
     run_montecarlo_coherent,
     run_montecarlo_fock,
@@ -255,19 +256,20 @@ def _common_normalization(
     An exclusive one-photon-per-output window vetoes events in which the
     other arm contributed photons, so a blocked run overcounts relative to
     the full run by exactly the missing arm's vacuum factor.  Rescaling the
-    blocked counts by exp(-eff * mu_blocked_arm) makes the entrywise
-    subtraction an unbiased estimate of the separable-background removal.
+    blocked counts by exp(-m), m the missing arm's detected mean, makes the
+    entrywise subtraction an unbiased estimate of the separable-background
+    removal.
     Exact-mode rate tables already share the vacuum-relative units, and
     threshold counting has no veto, so both pass through unchanged.
     """
     full, blocked_a, blocked_b = tables
     if full.trials == 0 or detector.semantics is not CoincidenceSemantics.EXACT_ONE_ONE:
         return tables
-    eff = detector.efficiency
+    m_a, m_b = detected_means(spec, detector)
     return (
         full,
-        blocked_a.with_values(blocked_a.values() * math.exp(-eff * spec.mu_a)),
-        blocked_b.with_values(blocked_b.values() * math.exp(-eff * spec.mu_b)),
+        blocked_a.with_values(blocked_a.values() * math.exp(-m_a)),
+        blocked_b.with_values(blocked_b.values() * math.exp(-m_b)),
     )
 
 

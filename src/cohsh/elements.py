@@ -48,7 +48,6 @@ UNITARY_TOL = 1e-9
 _PARTNER = {Port.A: Port.C, Port.B: Port.D, Port.C: Port.A, Port.D: Port.B}
 
 _FACT = [math.factorial(n) for n in range(40)]
-_SQRT_FACT = [math.sqrt(f) for f in _FACT]
 
 
 @dataclass(frozen=True, eq=False)

@@ -245,9 +245,6 @@ class DensityMixture:
             raise ValueError("mixture has no weight")
         return cls(tuple((w / total, s) for w, s in pairs))
 
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.components)
-
     def to_json_obj(self) -> list[dict]:
         return [
             {"weight": float(weight), "terms": state.to_json_obj()}

@@ -9,13 +9,14 @@ Rate normalization.  Exact-mode tables are two-photon event rates expressed
 relative to the vacuum-window rate, i.e. the mixture component |i_aH, j_bV>
 enters with coefficient
 
-    mu_a^i / i!  *  mu_b^j / j!
+    m_a^i / i!  *  m_b^j / j!
 
-(the Poisson weight divided by the vacuum weight).  For coherent light this
-equals the normally-ordered pair-detection rate, which is exactly bilinear in
-(mu_a, mu_b); in these units the two-photon decomposition
+of the detected means m (the Poisson weight divided by the vacuum weight;
+see Detector model).  For coherent light this equals the normally-ordered
+pair-detection rate, which is exactly bilinear in (m_a, m_b); in these
+units the two-photon decomposition
 
-    N_ij = mu_a mu_b P_ij(1,1) + mu_a^2/2 P_ij(2,0) + mu_b^2/2 P_ij(0,2)
+    N_ij = m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)
 
 is an identity, the three-configuration background subtraction cancels the
 separable terms exactly, and the normalized correlation E is independent of
@@ -23,11 +24,13 @@ the overall scale anyway.  exact_one_one registers only the two-photon
 sector i + j = 2, so exact mode propagates only that sector.
 
 Detector model.  Visibility eta mixes the ideal outcome distribution with a
-uniform relabeling of coincidences (E_measured = eta * E_ideal exactly);
-efficiency scales exact coincidence rates by efficiency^2 (both photons must
-be seen) and acts as per-photon loss in the Monte Carlo models; dark counts
-are an additive Poisson rate per detector, modeled in the coherent model
-only.
+uniform relabeling of coincidences (E_measured = eta * E_ideal exactly).
+Efficiency is loss in front of ideal detectors: loss keeps a coherent state
+coherent, |alpha> -> |sqrt(efficiency) alpha>, so a phase-randomized beam of
+mean mu reaches the detectors as a Poisson beam of mean efficiency * mu.
+Every mode applies efficiency through this one substitution (detected_means).
+Dark counts are an additive Poisson rate per detector, modeled in the
+coherent model only.
 
 Monte Carlo.  Trials are i.i.d., so the counts of one cell are exactly
 multinomial over p-bar, the per-trial outcome distribution averaged over the
@@ -65,9 +68,6 @@ SEED_LIMIT = 2**64
 #: threshold integrand: at 64 nodes it matches 128 nodes to rounding for
 #: mean photon numbers up to ten per beam.
 PHASE_NODES = 64
-
-#: Outcome cells in CSV order: (+,+), (+,-), (-,+), (-,-).
-CELLS = ("pp", "pm", "mp", "mm")
 
 _DET_MODES = (MODE_INDEX[CH], MODE_INDEX[CV], MODE_INDEX[DH], MODE_INDEX[DV])
 _INPUT_PORTS = {Port.A, Port.B}
@@ -244,14 +244,26 @@ def _outcome_probs(
     return probs
 
 
+def detected_means(spec: SourceSpec, detector: DetectorModel) -> tuple[float, float]:
+    """Mean photon numbers of the two beams as the detectors see them.
+
+    Efficiency is the substitution mu -> efficiency * mu (see the module
+    docstring); this is the only place a model reads it.
+    """
+    eff = detector.efficiency
+    return eff * spec.effective_mu_a, eff * spec.effective_mu_b
+
+
 def _finalize_cells(outcomes: np.ndarray, detector: DetectorModel) -> np.ndarray:
-    """Bin outcomes into the four cells; apply visibility and the pair efficiency."""
+    """Bin outcomes into the four cells and fold in the visibility.
+
+    Efficiency is already in the outcomes, through the detected means.
+    """
     cells = outcomes
     if detector.semantics is CoincidenceSemantics.THRESHOLD:
         cells = outcomes @ _PATTERN_CELLS
     eta = detector.visibility_eta
-    mixed = eta * cells + (1.0 - eta) / 4.0 * cells.sum()
-    return mixed * detector.efficiency**2
+    return eta * cells + (1.0 - eta) / 4.0 * cells.sum()
 
 
 def _transform_for(support_ports: set[Port], setting: AnalyzerSetting) -> ModeTransform:
@@ -271,8 +283,11 @@ def coincidence_probabilities(
     States on the recombination inputs (ports a, b) are propagated through
     the 50:50 splitter and the analyzers; states already on the output ports
     c, d skip the splitter.  Events with both photons in one port register in
-    no cell.
+    no cell.  Efficiency acts on the source means (detected_means), which a
+    general mixture lacks, so a lossy detector is refused.
     """
+    if detector.efficiency != 1.0:
+        raise ValueError("coincidence_probabilities models lossless detectors only")
     support = set()
     for _, component in input_state.components:
         support |= {mode.port for mode in component.support_modes()}
@@ -293,24 +308,24 @@ def exact_rates(
 ) -> CountTable:
     """Two-photon event rates N_ij for the full truncated source mixture.
 
-    Each component is weighted by its rate coefficient relative to the vacuum
-    window (see the module docstring), which makes the rates exactly bilinear
-    in the two mean photon numbers.  Sectors that cannot register are skipped
-    unpropagated.  Dark counts are not modeled here; use the coherent sampler
-    for that.
+    Each component is weighted by its rate coefficient of the detected means
+    relative to the vacuum window (see the module docstring), which makes the
+    rates exactly bilinear in the two means.  Sectors that cannot register
+    are skipped unpropagated.  Dark counts are not modeled here; use the
+    coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
     mixture, _ = two_mode_input(spec)
     transform = compose(RECOMBINER, analyzer_transform(setting))
-    mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
+    m_a, m_b = detected_means(spec, detector)
     outcomes = _empty_outcomes(detector.semantics)
-    for weight, component in mixture.components:
+    for _, component in mixture.components:
         (bstate, _), = component.items()
         i, j = bstate.count(AH), bstate.count(BV)
         if not _can_register(i, j, detector.semantics):
             continue
-        coeff = mu_a**i / math.factorial(i) * mu_b**j / math.factorial(j)
+        coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
         if coeff == 0.0:
             continue
         outcomes += coeff * _outcome_probs(component, transform, detector.semantics)
@@ -338,19 +353,19 @@ def coherent_outcome_table(
 
     Coherent states stay coherent under linear optics, so for a phase
     difference delta between the beams detector k sees intensity I_k(delta)
-    and registers an independent Poisson count of mean
-    m_k = efficiency * I_k + dark_rate.  The per-trial probabilities are
-    averaged over delta by the trapezoidal rule on PHASE_NODES equispaced
-    nodes.  Returns the four cell probabilities m_c m_d exp(-sum m) for
+    of the beams' detected means and registers an independent Poisson count
+    of mean m_k = I_k + dark_rate.  The per-trial probabilities are averaged
+    over delta by the trapezoidal rule on PHASE_NODES equispaced nodes.
+    Returns the four cell probabilities m_c m_d exp(-sum m) for
     exact_one_one, or the probabilities of the 16 click patterns for
     threshold.
     """
     total = compose(RECOMBINER, analyzer_transform(setting)).matrix
     u = total[list(_DET_MODES), MODE_INDEX[AH]]
     v = total[list(_DET_MODES), MODE_INDEX[BV]]
-    mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
-    base = mu_a * np.abs(u) ** 2 + mu_b * np.abs(v) ** 2
-    cross = 2.0 * math.sqrt(mu_a * mu_b) * (u * v.conj())
+    m_a, m_b = detected_means(spec, detector)
+    base = m_a * np.abs(u) ** 2 + m_b * np.abs(v) ** 2
+    cross = 2.0 * math.sqrt(m_a * m_b) * (u * v.conj())
     delta = 2.0 * math.pi * np.arange(PHASE_NODES) / PHASE_NODES
     intensity = (
         base[None, :]
@@ -359,7 +374,7 @@ def coherent_outcome_table(
     )
     # fully destructive interference can round to -1e-19
     np.maximum(intensity, 0.0, out=intensity)
-    means = detector.efficiency * intensity + detector.dark_rate
+    means = intensity + detector.dark_rate
     silent = np.exp(-means)
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
         c_cols, d_cols = zip(*_CELL_COLUMNS)
@@ -377,34 +392,16 @@ def fock_outcome_table(
 ) -> np.ndarray:
     """Per-trial outcome probabilities of the photon-number model.
 
-    Each arm carries a truncated, renormalized Poisson number of photons;
-    each photon survives with the detector efficiency (binomial thinning),
-    and the surviving |i_aH, j_bV> is read out through its sector table.
-    Same layout as coherent_outcome_table.  Dark counts are not modeled
-    here; use the coherent model for that.
+    Each arm delivers a truncated, renormalized Poisson number of photons of
+    its detected mean to the detectors, and |i_aH, j_bV> is read out through
+    its sector table.  Same layout as coherent_outcome_table.  Dark counts
+    are not modeled here; use the coherent model for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("dark counts are only modeled in the coherent sampler")
-    eff = detector.efficiency
-    w_a = _thinned_weights(spec.effective_mu_a, spec.n_max, eff)
-    w_b = _thinned_weights(spec.effective_mu_b, spec.n_max, eff)
+    w_a, w_b = (_truncated_weights(m, spec.n_max) for m in detected_means(spec, detector))
     sectors = _sector_table(setting, spec.n_max, detector.semantics)
-    return np.einsum("i,j,ijk->k", w_a, w_b, sectors)
-
-
-def _thinned_weights(mu: float, n_max: int, eff: float) -> np.ndarray:
-    """Law of the surviving photon number of one arm."""
-    weights = _truncated_weights(mu, n_max)
-    weights /= weights.sum()
-    return np.array(
-        [
-            sum(
-                weights[n] * math.comb(n, k) * eff**k * (1.0 - eff) ** (n - k)
-                for n in range(k, n_max + 1)
-            )
-            for k in range(n_max + 1)
-        ]
-    )
+    return np.einsum("i,j,ijk->k", w_a / w_a.sum(), w_b / w_b.sum(), sectors)
 
 
 @lru_cache(maxsize=128)
@@ -440,12 +437,11 @@ def _sample_counts(
     per cell and dealt back uniformly; both give the law of relabeling every
     event independently.
     """
-    eta = detector.visibility_eta
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
-        cells = eta * table + (1.0 - eta) / 4.0 * table.sum()
+        cells = _finalize_cells(table, detector)
         return rng.multinomial(trials, np.append(cells, max(0.0, 1.0 - cells.sum())))[:4]
     counts = rng.multinomial(trials, table) @ _PATTERN_CELLS
-    flipped = rng.binomial(counts, 1.0 - eta)
+    flipped = rng.binomial(counts, 1.0 - detector.visibility_eta)
     return counts - flipped + rng.multinomial(flipped.sum(), [0.25] * 4)
 
 

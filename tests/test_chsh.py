@@ -10,6 +10,8 @@ from cohsh.chsh import (
     _STREAM_SWEEP,
     BELL_TEST_ANGLES,
     SubtractedCorrelation,
+    _blocked_variants,
+    _common_normalization,
     bell_angle_S,
     chsh_S,
     correlation_E,
@@ -20,7 +22,13 @@ from cohsh.chsh import (
     subtract_background,
     sweep_correlation,
 )
-from cohsh.measurement import AnalyzerSetting, CountTable, DetectorModel
+from cohsh.measurement import (
+    AnalyzerSetting,
+    CountTable,
+    DetectorModel,
+    coherent_outcome_table,
+    exact_rates,
+)
 from cohsh.source import BlockedArm, SourceSpec
 
 from oracle import oracle_singlet_E, oracle_unsubtracted_E
@@ -83,6 +91,23 @@ def test_exact_subtraction_isolates_anticorrelation():
     assert corr.e_value == pytest.approx(-1.0, abs=1e-12)
     assert clamped < 1e-15
     assert len(tables) == 3
+
+
+def test_blocked_rescaling_uses_detected_means():
+    """Rescaled per-trial blocked tables share the full run's vacuum factor."""
+    eff = 0.6
+    detector = DetectorModel(efficiency=eff)
+    spec = SourceSpec(0.1, 0.07)
+    setting = AnalyzerSetting(0.0, math.pi / 8)
+    variants = _blocked_variants(spec)
+    per_trial = tuple(
+        CountTable.from_values(coherent_outcome_table(s, setting, detector), trials=1)
+        for s in variants
+    )
+    vacuum = math.exp(-eff * (spec.mu_a + spec.mu_b))
+    for rescaled, s in zip(_common_normalization(per_trial, spec, detector), variants):
+        expected = exact_rates(s, setting, detector).values() * vacuum
+        assert np.abs(rescaled.values() - expected).max() <= 1e-14 * expected.max()
 
 
 def test_correlation_e_values():

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a cohsh module imports is used in that module."""
+"""Source hygiene: cohsh modules hold no unused imports and no dead private names."""
 
 import ast
 from pathlib import Path
@@ -32,4 +32,34 @@ def test_modules_use_every_name_they_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = {p.name: sorted(names) for p in modules if (names := _unused_imports(p))}
+    assert unused == {}
+
+
+def _private_module_names(tree: ast.Module) -> set[str]:
+    """Module-level ``_``-prefixed defs, classes and assigned names (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_modules_use_every_private_name_they_define():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if names := _private_module_names(tree) - _loaded_names(tree):
+            unused[path.name] = sorted(names)
     assert unused == {}

@@ -159,6 +159,13 @@ def _full_sector_table(setting, n_max, semantics):
     )
 
 
+def test_coincidence_probabilities_rejects_lossy_detector():
+    with pytest.raises(ValueError, match="lossless"):
+        coincidence_probabilities(
+            pure_mixture(aH=1, bV=1), AnalyzerSetting(0.0, 0.0), DetectorModel(efficiency=0.6)
+        )
+
+
 def test_exact_one_one_registers_only_two_photon_sectors():
     """Photon number is conserved, so i + j != 2 never gives one photon per port."""
     semantics = CoincidenceSemantics.EXACT_ONE_ONE
@@ -182,11 +189,13 @@ def test_exact_rates_equals_sum_over_every_sector(semantics):
     for n_max in range(7):
         for arm in BlockedArm:
             spec = SourceSpec(0.3, 0.2, n_max=n_max, blocked=arm)
-            mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
+            # efficiency enters as the substitution mu -> efficiency * mu
+            m_a = detector.efficiency * spec.effective_mu_a
+            m_b = detector.efficiency * spec.effective_mu_b
             outcomes = measurement._empty_outcomes(semantics)
             for i in range(n_max + 1):
                 for j in range(n_max + 1):
-                    coeff = mu_a**i / math.factorial(i) * mu_b**j / math.factorial(j)
+                    coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
                     if coeff != 0.0:
                         outcomes += coeff * full[i, j]
             reference = measurement._finalize_cells(outcomes, detector)
@@ -216,6 +225,42 @@ def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
     assert count(BlockedArm.BLOCK_A, exact) == 1
     assert count(BlockedArm.BLOCK_B, exact) == 1
     assert count(BlockedArm.NONE, CoincidenceSemantics.THRESHOLD) == 7**2
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_efficiency_is_the_detected_mean_substitution(semantics):
+    """Every builder at efficiency e is the lossless builder at means e * mu."""
+    settings = (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(0.3, 1.1))
+    builders = (
+        lambda *args: exact_rates(*args).values(),
+        fock_outcome_table,
+        coherent_outcome_table,
+    )
+    for eff in (0.6, 0.25):
+        lossy = DetectorModel(visibility_eta=0.9, efficiency=eff, semantics=semantics)
+        lossless = replace(lossy, efficiency=1.0)
+        for arm in BlockedArm:
+            spec = SourceSpec(0.1, 0.07, n_max=6, blocked=arm)
+            detected = SourceSpec(eff * 0.1, eff * 0.07, n_max=6, blocked=arm)
+            for setting in settings:
+                for build in builders:
+                    assert np.array_equal(
+                        build(spec, setting, lossy), build(detected, setting, lossless)
+                    ), (eff, arm, setting, build)
+
+
+def test_exact_threshold_rates_match_lossy_coherent_table():
+    """Exact threshold rates at efficiency < 1 are the Poisson readout of eff * mu."""
+    eff = 0.6
+    detector = DetectorModel(efficiency=eff, semantics=CoincidenceSemantics.THRESHOLD)
+    for arm in BlockedArm:
+        spec = SourceSpec(0.1, 0.07, n_max=8, blocked=arm)
+        vacuum = math.exp(-eff * (spec.effective_mu_a + spec.effective_mu_b))
+        for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(2.0, -0.4)):
+            rates = exact_rates(spec, setting, detector).values()
+            table = coherent_outcome_table(spec, setting, detector)
+            reference = table @ measurement._PATTERN_CELLS / vacuum
+            assert np.abs(rates - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 def test_exact_rates_efficiency_scaling():
@@ -324,9 +369,7 @@ def test_threshold_montecarlo_matches_exact_threshold_rates(runner):
     table = runner(spec, setting, threshold, trials, 606)
     expected = exact_rates(spec, setting, threshold).values() * math.exp(-0.2) * trials
     sigma = np.sqrt(expected)
-    # the exact threshold table omits multi-photon window corrections, so
-    # allow a relative margin on top of the counting noise
-    assert (np.abs(table.values() - expected) <= 4.0 * sigma + 0.05 * expected).all()
+    assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
 
 @pytest.mark.parametrize("runner", [run_montecarlo_fock, run_montecarlo_coherent])
@@ -341,7 +384,7 @@ def test_montecarlo_efficiency_thinning(runner):
         exact_rates(spec, setting, lossy).values() * math.exp(-eff * 0.16) * trials
     )
     sigma = np.sqrt(expected)
-    assert (np.abs(table.values() - expected) <= 4.0 * sigma + 0.02 * expected).all()
+    assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
 
 @pytest.mark.parametrize("runner", [run_montecarlo_fock, run_montecarlo_coherent])
