@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -43,10 +44,10 @@ from .measurement import (
     AnalyzerSetting,
     CountTable,
     DetectorModel,
-    RECOMBINER,
     analyzer_transform,
     coincidence_probabilities,
     exact_rates,
+    setup_transform,
 )
 from .source import (
     BlockedArm,
@@ -59,7 +60,9 @@ from .source import (
 )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="cohsh",
         description="CHSH Bell-test simulator for phase-randomized weak coherent light",
@@ -323,8 +326,7 @@ def _cmd_dump_state(args: argparse.Namespace) -> int:
 def _cmd_dump_transform(args: argparse.Namespace) -> int:
     cfg = _load(args)
     setting = AnalyzerSetting(cfg.quad[0], cfg.quad[2])
-    transform = compose(RECOMBINER, analyzer_transform(setting))
-    _emit(_json_text(transform.to_json_obj()), cfg.out_path)
+    _emit(_json_text(setup_transform(setting).to_json_obj()), cfg.out_path)
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,11 @@ _FACT = [math.factorial(n) for n in range(40)]
 
 @dataclass(frozen=True, eq=False)
 class ModeTransform:
-    """Complex unitary on the eight canonical modes (column k = image of mode k)."""
+    """Complex unitary on the eight canonical modes (column k = image of mode k).
+
+    The matrix is a read-only copy, so what is derived from it is computed
+    once, on first use, and kept on the instance.
+    """
 
     matrix: np.ndarray
 
@@ -67,8 +72,20 @@ class ModeTransform:
         """Max entrywise deviation of U^dag U from the identity."""
         return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(N_MODES)).max())
 
+    @cached_property
+    def _defect(self) -> float:
+        return self.unitarity_defect()
+
+    @cached_property
+    def _column_images(self) -> tuple[tuple[tuple[int, complex], ...], ...]:
+        """Per mode k, the (j, U[j, k]) entries above PRUNE_EPS as Python complex."""
+        return tuple(
+            tuple((j, u) for j, u in enumerate(column) if abs(u) > PRUNE_EPS)
+            for column in self.matrix.T.tolist()
+        )
+
     def require_unitary(self, tol: float = UNITARY_TOL) -> None:
-        defect = self.unitarity_defect()
+        defect = self._defect
         if defect > tol:
             raise ValueError(f"transform is not unitary (defect {defect:.3e} > {tol:g})")
 
@@ -159,7 +176,9 @@ def compose(first: ModeTransform, second: ModeTransform) -> ModeTransform:
     return ModeTransform(second.matrix @ first.matrix)
 
 
-def _apply_to_occupations(matrix: np.ndarray, occ: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
+def _apply_to_occupations(
+    column_images: tuple[tuple[tuple[int, complex], ...], ...], occ: tuple[int, ...]
+) -> dict[tuple[int, ...], complex]:
     """Image of one basis state as a map occupation-tuple -> amplitude."""
     poly: dict[tuple[int, ...], complex] = {(0,) * N_MODES: 1.0 + 0j}
     denom = 1.0
@@ -167,7 +186,7 @@ def _apply_to_occupations(matrix: np.ndarray, occ: tuple[int, ...]) -> dict[tupl
         if n_k == 0:
             continue
         denom *= _FACT[n_k]
-        images = [(j, matrix[j, k]) for j in range(N_MODES) if abs(matrix[j, k]) > PRUNE_EPS]
+        images = column_images[k]
         for _ in range(n_k):
             nxt: dict[tuple[int, ...], complex] = {}
             for mono, coeff in poly.items():
@@ -196,7 +215,7 @@ def apply(transform: ModeTransform, state: StateVector) -> StateVector:
     transform.require_unitary()
     acc: dict[tuple[int, ...], complex] = {}
     for bstate, amp in state.items():
-        for mono, coeff in _apply_to_occupations(transform.matrix, bstate.occ).items():
+        for mono, coeff in _apply_to_occupations(transform._column_images, bstate.occ).items():
             acc[mono] = acc.get(mono, 0j) + amp * coeff
     return StateVector({FockBasisState(occ): a for occ, a in acc.items()})
 

@@ -83,10 +83,10 @@ class FockBasisState:
     occ: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        occ = tuple(int(n) for n in self.occ)
+        occ = tuple(map(int, self.occ))
         if len(occ) != N_MODES:
             raise ValueError(f"expected {N_MODES} occupation numbers, got {len(occ)}")
-        if any(n < 0 for n in occ):
+        if min(occ) < 0:
             raise ValueError(f"negative occupation in {occ}")
         object.__setattr__(self, "occ", occ)
 

@@ -56,8 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import ModeTransform, apply, beam_splitter, compose, polarization_rotator
-from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, DensityMixture, Port, StateVector, basis_state
-from .source import BlockedArm, SourceSpec, two_mode_input, _truncated_weights
+from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, DensityMixture, Port, StateVector
+from .source import BlockedArm, SourceSpec, two_mode_input, _sector_state, _truncated_weights
 
 #: Seeds are 64-bit: derive_rng accepts exactly the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 2**64
@@ -183,6 +183,11 @@ def analyzer_transform(setting: AnalyzerSetting) -> ModeTransform:
     )
 
 
+def setup_transform(setting: AnalyzerSetting) -> ModeTransform:
+    """The recombining splitter followed by the analyzers: inputs a, b to the detectors."""
+    return compose(RECOMBINER, analyzer_transform(setting))
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent child stream for (seed, key).
 
@@ -268,7 +273,7 @@ def _finalize_cells(outcomes: np.ndarray, detector: DetectorModel) -> np.ndarray
 
 def _transform_for(support_ports: set[Port], setting: AnalyzerSetting) -> ModeTransform:
     if support_ports <= _INPUT_PORTS:
-        return compose(RECOMBINER, analyzer_transform(setting))
+        return setup_transform(setting)
     if support_ports <= _OUTPUT_PORTS:
         return analyzer_transform(setting)
     names = ",".join(sorted(p.value for p in support_ports))
@@ -311,13 +316,17 @@ def exact_rates(
     Each component is weighted by its rate coefficient of the detected means
     relative to the vacuum window (see the module docstring), which makes the
     rates exactly bilinear in the two means.  Sectors that cannot register
-    are skipped unpropagated.  Dark counts are not modeled here; use the
-    coherent sampler for that.
+    are skipped unpropagated, and exact_one_one, which registers only
+    i + j == 2, asks the source for i, j <= 2 alone.  Dark counts are not
+    modeled here; use the coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
-    mixture, _ = two_mode_input(spec)
-    transform = compose(RECOMBINER, analyzer_transform(setting))
+    n_max = spec.n_max
+    if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
+        n_max = min(n_max, 2)
+    mixture, _ = two_mode_input(replace(spec, n_max=n_max))
+    transform = setup_transform(setting)
     m_a, m_b = detected_means(spec, detector)
     outcomes = _empty_outcomes(detector.semantics)
     for _, component in mixture.components:
@@ -360,7 +369,7 @@ def coherent_outcome_table(
     exact_one_one, or the probabilities of the 16 click patterns for
     threshold.
     """
-    total = compose(RECOMBINER, analyzer_transform(setting)).matrix
+    total = setup_transform(setting).matrix
     u = total[list(_DET_MODES), MODE_INDEX[AH]]
     v = total[list(_DET_MODES), MODE_INDEX[BV]]
     m_a, m_b = detected_means(spec, detector)
@@ -414,13 +423,12 @@ def _sector_table(
     (threshold); rows of sectors that cannot register stay zero.  Read-only:
     one array is shared by every caller.
     """
-    transform = compose(RECOMBINER, analyzer_transform(setting))
+    transform = setup_transform(setting)
     table = np.zeros((n_max + 1, n_max + 1, len(_empty_outcomes(semantics))))
     for i in range(n_max + 1):
         for j in range(n_max + 1):
             if _can_register(i, j, semantics):
-                state = StateVector.from_basis(basis_state(aH=i, bV=j))
-                table[i, j] = _outcome_probs(state, transform, semantics)
+                table[i, j] = _outcome_probs(_sector_state(i, j), transform, semantics)
     table.setflags(write=False)
     return table
 

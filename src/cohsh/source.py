@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import AH, DensityMixture, FockBasisState, ModeLabel, StateVector, basis_state
+from .fock import AH, BV, DensityMixture, FockBasisState, ModeLabel, StateVector
 
 
 class BlockedArm(str, Enum):
@@ -76,6 +77,15 @@ def _truncated_weights(mu: float, n_max: int) -> np.ndarray:
     return np.array([poisson_pmf(mu, n) for n in range(n_max + 1)])
 
 
+@lru_cache(maxsize=None)
+def _sector_state(i: int, j: int) -> StateVector:
+    """The input sector |i_aH, j_bV>, built once per process.
+
+    States are immutable, so one instance is shared by every caller.
+    """
+    return StateVector.from_basis(FockBasisState.from_occupations({AH: i, BV: j}))
+
+
 def two_mode_input(spec: SourceSpec) -> tuple[DensityMixture, float]:
     """Product Poisson mixture over |i_aH, j_bV>, i and j up to n_max.
 
@@ -85,7 +95,7 @@ def two_mode_input(spec: SourceSpec) -> tuple[DensityMixture, float]:
     wb = _truncated_weights(spec.effective_mu_b, spec.n_max)
     discarded = 1.0 - float(wa.sum() * wb.sum())
     components = [
-        (float(wa[i] * wb[j]), StateVector.from_basis(basis_state(aH=i, bV=j)))
+        (float(wa[i] * wb[j]), _sector_state(i, j))
         for i in range(spec.n_max + 1)
         for j in range(spec.n_max + 1)
         if wa[i] * wb[j] > 0.0
@@ -102,11 +112,11 @@ def two_photon_component(spec: SourceSpec) -> DensityMixture:
     """
     mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
     pairs = [
-        (mu_a * mu_b, basis_state(aH=1, bV=1)),
-        (mu_a**2 / 2.0, basis_state(aH=2)),
-        (mu_b**2 / 2.0, basis_state(bV=2)),
+        (mu_a * mu_b, _sector_state(1, 1)),
+        (mu_a**2 / 2.0, _sector_state(2, 0)),
+        (mu_b**2 / 2.0, _sector_state(0, 2)),
     ]
-    components = [(w, StateVector.from_basis(s)) for w, s in pairs if w > 0.0]
+    components = [(w, s) for w, s in pairs if w > 0.0]
     if not components:
         raise ValueError("two-photon component is empty: both means are zero")
     return DensityMixture.from_components(components)

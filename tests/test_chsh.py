@@ -24,6 +24,7 @@ from cohsh.chsh import (
 )
 from cohsh.measurement import (
     AnalyzerSetting,
+    CoincidenceSemantics,
     CountTable,
     DetectorModel,
     coherent_outcome_table,
@@ -173,6 +174,22 @@ def test_bell_angle_matches_quad_form_exactly():
     e_t, _, _ = measure_protocol(spec, AnalyzerSetting(theta, 0.0), IDEAL)
     e_3t, _, _ = measure_protocol(spec, AnalyzerSetting(3 * theta, 0.0), IDEAL)
     assert abs(bell_angle_S(e_t, e_3t).s_value - run.result.s_value) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open bug: exact threshold tables are vacuum-relative per configuration, so the "
+    "exact subtraction rescales blocked runs by exp(-m), while _common_normalization passes "
+    "threshold Monte Carlo counts through unscaled; the two modes disagree by ~31 sigma",
+)
+def test_exact_threshold_matches_monte_carlo():
+    spec = SourceSpec(0.1, 0.1, n_max=6)
+    detector = DetectorModel(visibility_eta=0.9, semantics=CoincidenceSemantics.THRESHOLD)
+    exact = run_chsh(spec, detector).result
+    sampled = run_chsh(
+        spec, detector, mode="mc_coherent", trials=20_000_000, repetitions=4, seed=11
+    ).result
+    assert abs(exact.s_value - sampled.s_value) <= 5.0 * sampled.s_error
 
 
 def test_run_chsh_exact_values():

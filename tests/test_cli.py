@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cohsh.cli import main, validation_checks
+from cohsh.cli import build_parser, main, validation_checks
 from cohsh.config import ConfigError, ExperimentConfig, RunMode, load_config
 from cohsh.fock import MODES
 
@@ -230,6 +230,15 @@ def test_cli_dump_transform(tmp_path):
     )
     assert matrix.shape == (8, 8)
     assert np.abs(matrix.conj().T @ matrix - np.eye(8)).max() < 1e-12
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path):
+    build_parser.cache_clear()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["dump-transform", "--out", str(first)]) == 0
+    assert main(["dump-transform", "--seed", "3", "--out", str(second)]) == 0
+    assert build_parser.cache_info().misses == 1
+    assert first.read_text() == second.read_text()
 
 
 def test_cli_chsh_json_to_stdout(capsys):

@@ -110,8 +110,38 @@ def test_apply_identity_and_unitarity_guard():
     state = psi_minus()
     assert apply(ModeTransform(np.eye(8, dtype=complex)), state).allclose(state)
     broken = ModeTransform(np.eye(8) * 1.5)
+    for _ in range(2):  # the cached defect must keep the guard raising
+        with pytest.raises(ValueError, match="not unitary"):
+            apply(broken, state)
+
+
+def test_transform_matrix_is_a_read_only_copy():
+    source = np.eye(8, dtype=complex)
+    transform = ModeTransform(source)
+    assert not transform.matrix.flags.writeable
     with pytest.raises(ValueError):
-        apply(broken, state)
+        transform.matrix[0, 0] = 2.0
+    source[0, 0] = 2.0
+    assert transform.matrix[0, 0] == 1.0
+
+
+def test_unitarity_defect_is_computed_once_per_transform(monkeypatch):
+    """Work-count guard: apply reads a transform's defect, computed on first use."""
+    calls = []
+    original = ModeTransform.unitarity_defect
+
+    def counting_defect(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModeTransform, "unitarity_defect", counting_defect)
+    first = compose(BS, polarization_rotator(Port.C, 0.3))
+    second = compose(BS, polarization_rotator(Port.D, 0.3))
+    state = StateVector.from_basis(basis_state(aH=1, bV=1))
+    for _ in range(5):
+        apply(first, state)
+        apply(second, state)
+    assert calls == [first, second]
 
 
 def _random_transform(rng) -> ModeTransform:

@@ -227,6 +227,28 @@ def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
     assert count(BlockedArm.NONE, CoincidenceSemantics.THRESHOLD) == 7**2
 
 
+def test_exact_one_one_asks_the_source_for_two_photons_at_most(monkeypatch):
+    """Work-count guard: only i + j == 2 registers, so i, j <= 2 is all exact_one_one needs."""
+    cutoffs = []
+    original = measurement.two_mode_input
+
+    def spying_two_mode_input(spec):
+        cutoffs.append(spec.n_max)
+        return original(spec)
+
+    monkeypatch.setattr(measurement, "two_mode_input", spying_two_mode_input)
+    setting = AnalyzerSetting(0.2, math.pi / 8)
+    for semantics, expected in (
+        (CoincidenceSemantics.EXACT_ONE_ONE, [0, 1, 2, 2, 2]),
+        (CoincidenceSemantics.THRESHOLD, [0, 1, 2, 4, 6]),
+    ):
+        cutoffs.clear()
+        for n_max in (0, 1, 2, 4, 6):
+            spec = SourceSpec(0.05, 0.07, n_max=n_max)
+            exact_rates(spec, setting, DetectorModel(semantics=semantics))
+        assert cutoffs == expected
+
+
 @pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
 def test_efficiency_is_the_detected_mean_substitution(semantics):
     """Every builder at efficiency e is the lossless builder at means e * mu."""

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cohsh.fock import AH, BV, density_matrix
+from cohsh import source
+from cohsh.fock import AH, BV, FockBasisState, density_matrix
+from cohsh.measurement import AnalyzerSetting, CoincidenceSemantics, DetectorModel, exact_rates
 from cohsh.source import (
     BlockedArm,
     SourceSpec,
@@ -70,6 +72,27 @@ def test_two_mode_input_weights_factorize():
     assert weights[(1, 1)] * (1.0 - discarded) == pytest.approx(poisson_pmf(mu, 1) ** 2)
     for (i, j), w in weights.items():
         assert w * (1.0 - discarded) == pytest.approx(poisson_pmf(mu, i) * poisson_pmf(mu, j))
+
+
+def test_sector_states_are_built_once_per_process(monkeypatch):
+    """Work-count guard: repeated exact_rates calls reuse the input sector states."""
+    built = []
+    original = FockBasisState.__post_init__
+
+    def counting_post_init(self):
+        original(self)
+        others = self.occ[1:3] + self.occ[4:]
+        if (self.occ[0] or self.occ[3]) and not any(others):
+            built.append((self.occ[0], self.occ[3]))
+
+    monkeypatch.setattr(FockBasisState, "__post_init__", counting_post_init)
+    source._sector_state.cache_clear()
+    for call in range(50):
+        semantics = list(CoincidenceSemantics)[call % 2]
+        spec = SourceSpec(0.05 + 0.001 * call, 0.07, n_max=6, blocked=list(BlockedArm)[call % 3])
+        exact_rates(spec, AnalyzerSetting(0.1 * call, 0.3), DetectorModel(semantics=semantics))
+    # every sector |i_aH, j_bV> but the vacuum, each exactly once
+    assert sorted(built) == [(i, j) for i in range(7) for j in range(7) if i + j > 0]
 
 
 def test_two_photon_component_weights():
