@@ -27,7 +27,7 @@ The two are never mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -38,6 +38,7 @@ from .measurement import (
     CoincidenceSemantics,
     CountTable,
     DetectorModel,
+    _blocked_variants,
     derive_rng,
     detected_means,
     exact_rates,
@@ -228,19 +229,7 @@ def fit_visibility(points: Iterable[tuple[float, float, float]]) -> VisibilityFi
     return VisibilityFit(eta, eta_error)
 
 
-def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceSpec]:
-    if spec.blocked is not BlockedArm.NONE:
-        raise ValueError("protocol runs require an unblocked source spec")
-    return (
-        spec,
-        replace(spec, blocked=BlockedArm.BLOCK_A),
-        replace(spec, blocked=BlockedArm.BLOCK_B),
-    )
-
-
 def _one_table(spec, setting, detector, mode, trials, seed, cell_key):
-    if mode is RunMode.EXACT:
-        return exact_rates(spec, setting, detector)
     rng = derive_rng(seed, *cell_key)
     runner = run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
     return runner(spec, setting, detector, trials, rng)
@@ -285,22 +274,24 @@ def measure_protocol(
     """One three-configuration run at one setting.
 
     Returns the subtracted correlation, the raw (full, blocked-a, blocked-b)
-    tables, and the clamp diagnostic.  All three configurations use the same
-    trial count; in Monte Carlo modes each configuration gets its own derived
-    stream keyed by (cell_key, configuration index), and the blocked counts
-    are rescaled to the full-run normalization before subtraction (see
-    _common_normalization).
+    tables, and the clamp diagnostic; exact mode gets all three from one
+    exact_rates call.  All three configurations use the same trial count; in
+    Monte Carlo modes each configuration gets its own derived stream keyed by
+    (cell_key, configuration index), and the blocked counts are rescaled to
+    the full-run normalization before subtraction (see _common_normalization).
     """
     mode = RunMode(mode)
-    if mode is not RunMode.EXACT:
+    if mode is RunMode.EXACT:
+        tables = exact_rates(spec, setting, detector)
+    else:
         if trials < 1:
             raise ValueError("Monte Carlo modes need trials >= 1")
         if seed is None:
             raise ValueError("Monte Carlo modes need a seed")
-    tables = tuple(
-        _one_table(s, setting, detector, mode, trials, seed, cell_key + (cfg,))
-        for cfg, s in enumerate(_blocked_variants(spec))
-    )
+        tables = tuple(
+            _one_table(s, setting, detector, mode, trials, seed, cell_key + (cfg,))
+            for cfg, s in enumerate(_blocked_variants(spec))
+        )
     c_table, clamped = subtract_background(*_common_normalization(tables, spec, detector))
     return correlation_E(c_table), tables, clamped
 

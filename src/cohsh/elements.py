@@ -35,7 +35,6 @@ from .fock import (
     MODES,
     N_MODES,
     PRUNE_EPS,
-    FockBasisState,
     ModeLabel,
     Polarization,
     Port,
@@ -217,5 +216,5 @@ def apply(transform: ModeTransform, state: StateVector) -> StateVector:
     for bstate, amp in state.items():
         for mono, coeff in _apply_to_occupations(transform._column_images, bstate.occ).items():
             acc[mono] = acc.get(mono, 0j) + amp * coeff
-    return StateVector({FockBasisState(occ): a for occ, a in acc.items()})
+    return StateVector._trusted({occ: a for occ, a in acc.items() if abs(a) > PRUNE_EPS})
 

@@ -142,6 +142,17 @@ class StateVector:
         self._amp = amp
 
     @classmethod
+    def _trusted(cls, terms: dict[tuple[int, ...], complex]) -> "StateVector":
+        """Unchecked constructor for elements.apply: valid occupations, pruned amplitudes."""
+        new = object.__new__(cls)
+        new._amp = {}
+        for occ, amplitude in terms.items():
+            state = object.__new__(FockBasisState)
+            object.__setattr__(state, "occ", occ)
+            new._amp[state] = amplitude
+        return new
+
+    @classmethod
     def from_basis(cls, state: FockBasisState, amplitude: complex = 1.0) -> "StateVector":
         return cls({state: amplitude})
 

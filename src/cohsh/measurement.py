@@ -20,8 +20,8 @@ units the two-photon decomposition
 
 is an identity, the three-configuration background subtraction cancels the
 separable terms exactly, and the normalized correlation E is independent of
-the overall scale anyway.  exact_one_one registers only the two-photon
-sector i + j = 2, so exact mode propagates only that sector.
+the overall scale anyway.  Exact mode propagates each registering sector
+(i + j = 2 for exact_one_one) once per setting, for all three configurations.
 
 Detector model.  Visibility eta mixes the ideal outcome distribution with a
 uniform relabeling of coincidences (E_measured = eta * E_ideal exactly).
@@ -308,39 +308,61 @@ def coincidence_probabilities(
     )
 
 
+def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceSpec]:
+    """The protocol's three configurations: both arms open, a blocked, b blocked."""
+    if spec.blocked is not BlockedArm.NONE:
+        raise ValueError("protocol runs require an unblocked source spec")
+    return (
+        spec,
+        replace(spec, blocked=BlockedArm.BLOCK_A),
+        replace(spec, blocked=BlockedArm.BLOCK_B),
+    )
+
+
 def exact_rates(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
-) -> CountTable:
-    """Two-photon event rates N_ij for the full truncated source mixture.
+) -> tuple[CountTable, CountTable, CountTable]:
+    """Two-photon event rates N_ij: (full, arm a blocked, arm b blocked) of an unblocked spec.
 
-    Each component is weighted by its rate coefficient of the detected means
-    relative to the vacuum window (see the module docstring), which makes the
-    rates exactly bilinear in the two means.  Sectors that cannot register
-    are skipped unpropagated, and exact_one_one, which registers only
-    i + j == 2, asks the source for i, j <= 2 alone.  Dark counts are not
-    modeled here; use the coherent sampler for that.
+    Each sector that can register is propagated once, and each configuration
+    weights its row by the rate coefficient of its own detected means
+    relative to the vacuum window (see the module docstring).  exact_one_one,
+    which registers only i + j == 2, asks the source for i, j <= 2 alone.
+    Dark counts are not modeled here; use the coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
+    variants = _blocked_variants(spec)
     n_max = spec.n_max
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
         n_max = min(n_max, 2)
     mixture, _ = two_mode_input(replace(spec, n_max=n_max))
     transform = setup_transform(setting)
-    m_a, m_b = detected_means(spec, detector)
-    outcomes = _empty_outcomes(detector.semantics)
+    rows = []
     for _, component in mixture.components:
         (bstate, _), = component.items()
         i, j = bstate.count(AH), bstate.count(BV)
-        if not _can_register(i, j, detector.semantics):
-            continue
-        coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
-        if coeff == 0.0:
-            continue
-        outcomes += coeff * _outcome_probs(component, transform, detector.semantics)
+        if _can_register(i, j, detector.semantics):
+            rows.append((i, j, _outcome_probs(component, transform, detector.semantics)))
+    tables = []
+    for variant in variants:
+        m_a, m_b = detected_means(variant, detector)
+        outcomes = _empty_outcomes(detector.semantics)
+        for i, j, probs in rows:
+            coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
+            if coeff != 0.0:
+                outcomes += coeff * probs
+        tables.append(_run_table(_finalize_cells(outcomes, detector), variant, setting, 0))
+    return tuple(tables)
+
+
+def _run_table(
+    values: np.ndarray, spec: SourceSpec, setting: AnalyzerSetting, trials: int
+) -> CountTable:
+    """The four cells of one configuration's run, with the run's metadata."""
     return CountTable.from_values(
-        _finalize_cells(outcomes, detector),
-        trials=0,
+        values,
+        trials=trials,
         alpha=setting.alpha,
         beta=setting.beta,
         mu_a=spec.mu_a,
@@ -464,15 +486,7 @@ def _sampled_table(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     counts = _sample_counts(builder(spec, setting, detector), detector, trials, _as_rng(rng))
-    return CountTable.from_values(
-        counts,
-        trials=trials,
-        alpha=setting.alpha,
-        beta=setting.beta,
-        mu_a=spec.mu_a,
-        mu_b=spec.mu_b,
-        blocked=spec.blocked,
-    )
+    return _run_table(counts, spec, setting, trials)
 
 
 def run_montecarlo_fock(

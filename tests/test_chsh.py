@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsh import chsh, measurement
 from cohsh.chsh import (
     _STREAM_CHSH,
     _STREAM_SWEEP,
@@ -100,14 +101,14 @@ def test_blocked_rescaling_uses_detected_means():
     detector = DetectorModel(efficiency=eff)
     spec = SourceSpec(0.1, 0.07)
     setting = AnalyzerSetting(0.0, math.pi / 8)
-    variants = _blocked_variants(spec)
     per_trial = tuple(
         CountTable.from_values(coherent_outcome_table(s, setting, detector), trials=1)
-        for s in variants
+        for s in _blocked_variants(spec)
     )
     vacuum = math.exp(-eff * (spec.mu_a + spec.mu_b))
-    for rescaled, s in zip(_common_normalization(per_trial, spec, detector), variants):
-        expected = exact_rates(s, setting, detector).values() * vacuum
+    rescaled_tables = _common_normalization(per_trial, spec, detector)
+    for rescaled, rates in zip(rescaled_tables, exact_rates(spec, setting, detector)):
+        expected = rates.values() * vacuum
         assert np.abs(rescaled.values() - expected).max() <= 1e-14 * expected.max()
 
 
@@ -340,6 +341,45 @@ def test_measure_protocol_validation():
     blocked = SourceSpec(0.05, 0.05, blocked=BlockedArm.BLOCK_A)
     with pytest.raises(ValueError):
         measure_protocol(blocked, AnalyzerSetting(0, 0), IDEAL)
+
+
+def _call_log(monkeypatch, module, name):
+    """Arguments of every call made through ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+    return calls
+
+
+def test_exact_protocol_builds_one_mixture_and_one_transform(monkeypatch):
+    """Work-count guard: an exact protocol run computes its three configurations together."""
+    logs = [
+        _call_log(monkeypatch, chsh, "exact_rates"),
+        _call_log(monkeypatch, measurement, "two_mode_input"),
+        _call_log(monkeypatch, measurement, "setup_transform"),
+    ]
+    for semantics in CoincidenceSemantics:
+        for log in logs:
+            log.clear()
+        detector = DetectorModel(semantics=semantics)
+        measure_protocol(SourceSpec(0.05, 0.07, n_max=6), AnalyzerSetting(0.3, 0.1), detector)
+        assert [len(log) for log in logs] == [1, 1, 1]
+
+
+def test_exact_drivers_call_exact_rates_once_per_setting(monkeypatch):
+    """Work-count guard: four settings for run_chsh, one per sweep point."""
+    rates = _call_log(monkeypatch, chsh, "exact_rates")
+    spec = SourceSpec(0.05, 0.05)
+    run_chsh(spec, IDEAL, repetitions=3)
+    assert len(rates) == 4
+    rates.clear()
+    sweep_correlation(spec, IDEAL, np.linspace(0.0, math.pi, 17), repetitions=3)
+    assert len(rates) == 17
 
 
 def test_repetitions_must_be_positive():

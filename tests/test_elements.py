@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsh import elements
 from cohsh.elements import (
     ModeTransform,
     apply,
@@ -165,6 +166,33 @@ def _random_state(rng) -> StateVector:
             occ[int(rng.integers(0, 8))] += 1
         terms[FockBasisState(tuple(occ))] = complex(rng.normal(), rng.normal())
     return StateVector(terms).normalize()
+
+
+def test_apply_output_equals_the_validated_construction():
+    """apply builds its output unchecked; it must equal the fully checked state."""
+    rng = np.random.default_rng(99)
+    # the first case cancels inside one term's image (HOM), the second only
+    # once the images of two input terms are summed
+    cancelling = StateVector({basis_state(aH=1): 1 / SQRT2, basis_state(bH=1): 1j / SQRT2})
+    assert len(apply(BS, cancelling)) == 1
+    cases = [(BS, StateVector.from_basis(basis_state(aH=1, bH=1))), (BS, cancelling)]
+    for _ in range(40):
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        cases.append((ModeTransform(q), _random_state(rng)))
+        cases.append((_random_transform(rng), _random_state(rng)))
+    for transform, state in cases:
+        acc = {}
+        for bstate, amp in state.items():
+            images = elements._apply_to_occupations(transform._column_images, bstate.occ)
+            for occ, coeff in images.items():
+                acc[occ] = acc.get(occ, 0j) + amp * coeff
+        expected = StateVector({FockBasisState(occ): a for occ, a in acc.items()})
+        out = apply(transform, state)
+        assert len(out) == len(expected)
+        assert out == expected
+        assert out.items() == expected.items()
+        assert all(type(b.occ) is tuple and len(b.occ) == 8 for b in out)
+        assert all(type(a) is complex for _, a in out.items())
 
 
 def test_generated_transforms_are_unitary():

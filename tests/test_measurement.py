@@ -8,7 +8,7 @@ import pytest
 
 from cohsh import measurement
 from cohsh.elements import compose
-from cohsh.fock import DensityMixture, StateVector, basis_state
+from cohsh.fock import AH, BV, DensityMixture, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
     CoincidenceSemantics,
@@ -29,6 +29,12 @@ from oracle import oracle_poisson_readout_counts, oracle_sector_tables
 from test_fock import psi_minus
 
 IDEAL = DetectorModel()
+
+
+def configuration_rates(spec, setting, detector) -> CountTable:
+    """The exact_rates table of the configuration ``spec`` describes, blocked or not."""
+    tables = exact_rates(replace(spec, blocked=BlockedArm.NONE), setting, detector)
+    return tables[list(BlockedArm).index(spec.blocked)]
 
 
 def pure_mixture(**occupations) -> DensityMixture:
@@ -96,16 +102,16 @@ def test_sector_tables_match_closed_forms():
 
 
 def test_exact_rates_blocked_matches_sector_rate():
-    spec = SourceSpec(0.05, 0.05, blocked=BlockedArm.BLOCK_B)
+    spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.2, 0.9)
-    table = exact_rates(spec, setting, IDEAL)
+    _, _, table = exact_rates(spec, setting, IDEAL)
     sector = coincidence_probabilities(pure_mixture(aH=2), setting, IDEAL)
     expected = (0.05**2 / 2.0) * sector.values()
     assert np.abs(table.values() - expected).max() < 1e-15
 
 
 def test_exact_rates_zero_source():
-    table = exact_rates(SourceSpec(0.0, 0.0), AnalyzerSetting(0.0, 0.0), IDEAL)
+    table, _, _ = exact_rates(SourceSpec(0.0, 0.0), AnalyzerSetting(0.0, 0.0), IDEAL)
     assert table.total == 0.0
     assert table.trials == 0
 
@@ -114,7 +120,7 @@ def test_exact_rates_two_photon_decomposition():
     """N decomposes over the three two-photon inputs, residual far below 1e-6."""
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, math.pi / 8)
-    table = exact_rates(spec, setting, IDEAL).values()
+    table = exact_rates(spec, setting, IDEAL)[0].values()
     terms = (
         spec.mu_a * spec.mu_b,
         spec.mu_a**2 / 2.0,
@@ -141,6 +147,12 @@ def test_exact_rates_two_photon_decomposition():
 def test_exact_rates_rejects_dark_counts():
     with pytest.raises(ValueError, match="dark counts"):
         exact_rates(SourceSpec(0.05, 0.05), AnalyzerSetting(0.0, 0.3), DetectorModel(dark_rate=1e-3))
+
+
+def test_exact_rates_rejects_a_blocked_spec():
+    for arm in (BlockedArm.BLOCK_A, BlockedArm.BLOCK_B):
+        with pytest.raises(ValueError, match="unblocked"):
+            exact_rates(SourceSpec(0.05, 0.05, blocked=arm), AnalyzerSetting(0.0, 0.3), IDEAL)
 
 
 def _full_sector_table(setting, n_max, semantics):
@@ -182,28 +194,32 @@ def test_exact_one_one_registers_only_two_photon_sectors():
 
 @pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
 def test_exact_rates_equals_sum_over_every_sector(semantics):
-    """Skipping the sectors that cannot register leaves every rate bit-identical."""
+    """Each configuration's rates are bit-identical to the sum over every propagated sector."""
     detector = DetectorModel(visibility_eta=0.9, efficiency=0.7, semantics=semantics)
     setting = AnalyzerSetting(0.3, 1.1)
     full = _full_sector_table(setting, 6, semantics)
     for n_max in range(7):
-        for arm in BlockedArm:
-            spec = SourceSpec(0.3, 0.2, n_max=n_max, blocked=arm)
-            # efficiency enters as the substitution mu -> efficiency * mu
-            m_a = detector.efficiency * spec.effective_mu_a
-            m_b = detector.efficiency * spec.effective_mu_b
-            outcomes = measurement._empty_outcomes(semantics)
-            for i in range(n_max + 1):
-                for j in range(n_max + 1):
-                    coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
-                    if coeff != 0.0:
-                        outcomes += coeff * full[i, j]
-            reference = measurement._finalize_cells(outcomes, detector)
-            assert np.array_equal(exact_rates(spec, setting, detector).values(), reference)
+        for mu_a, mu_b in ((0.3, 0.2), (0.0, 0.2), (0.3, 0.0)):
+            spec = SourceSpec(mu_a, mu_b, n_max=n_max)
+            tables = exact_rates(spec, setting, detector)
+            assert [table.blocked for table in tables] == list(BlockedArm)
+            for table in tables:
+                config = replace(spec, blocked=table.blocked)
+                # efficiency enters as the substitution mu -> efficiency * mu
+                m_a = detector.efficiency * config.effective_mu_a
+                m_b = detector.efficiency * config.effective_mu_b
+                outcomes = measurement._empty_outcomes(semantics)
+                for i in range(n_max + 1):
+                    for j in range(n_max + 1):
+                        coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
+                        if coeff != 0.0:
+                            outcomes += coeff * full[i, j]
+                reference = measurement._finalize_cells(outcomes, detector)
+                assert np.array_equal(table.values(), reference), (n_max, mu_a, mu_b, table)
 
 
 def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
-    """Work-count guard: how many states exact_rates sends through the optics."""
+    """Work-count guard: the states one exact_rates call sends through the optics."""
     calls = []
     original = measurement.apply
 
@@ -214,17 +230,16 @@ def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
     monkeypatch.setattr(measurement, "apply", counting_apply)
     setting = AnalyzerSetting(0.0, math.pi / 8)
 
-    def count(arm, semantics):
+    def sectors(semantics):
         calls.clear()
-        spec = SourceSpec(0.05, 0.05, n_max=6, blocked=arm)
+        spec = SourceSpec(0.05, 0.05, n_max=6)
         exact_rates(spec, setting, DetectorModel(semantics=semantics))
-        return len(calls)
+        return sorted(
+            (bstate.count(AH), bstate.count(BV)) for state in calls for bstate in state
+        )
 
-    exact = CoincidenceSemantics.EXACT_ONE_ONE
-    assert count(BlockedArm.NONE, exact) == 3
-    assert count(BlockedArm.BLOCK_A, exact) == 1
-    assert count(BlockedArm.BLOCK_B, exact) == 1
-    assert count(BlockedArm.NONE, CoincidenceSemantics.THRESHOLD) == 7**2
+    assert sectors(CoincidenceSemantics.EXACT_ONE_ONE) == [(0, 2), (1, 1), (2, 0)]
+    assert sectors(CoincidenceSemantics.THRESHOLD) == [(i, j) for i in range(7) for j in range(7)]
 
 
 def test_exact_one_one_asks_the_source_for_two_photons_at_most(monkeypatch):
@@ -254,7 +269,7 @@ def test_efficiency_is_the_detected_mean_substitution(semantics):
     """Every builder at efficiency e is the lossless builder at means e * mu."""
     settings = (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(0.3, 1.1))
     builders = (
-        lambda *args: exact_rates(*args).values(),
+        lambda *args: configuration_rates(*args).values(),
         fock_outcome_table,
         coherent_outcome_table,
     )
@@ -279,7 +294,7 @@ def test_exact_threshold_rates_match_lossy_coherent_table():
         spec = SourceSpec(0.1, 0.07, n_max=8, blocked=arm)
         vacuum = math.exp(-eff * (spec.effective_mu_a + spec.effective_mu_b))
         for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(2.0, -0.4)):
-            rates = exact_rates(spec, setting, detector).values()
+            rates = configuration_rates(spec, setting, detector).values()
             table = coherent_outcome_table(spec, setting, detector)
             reference = table @ measurement._PATTERN_CELLS / vacuum
             assert np.abs(rates - reference).max() <= 1e-10 * np.abs(reference).max()
@@ -288,18 +303,18 @@ def test_exact_threshold_rates_match_lossy_coherent_table():
 def test_exact_rates_efficiency_scaling():
     spec = SourceSpec(0.08, 0.03)
     setting = AnalyzerSetting(0.5, 0.2)
-    base = exact_rates(spec, setting, IDEAL).values()
+    base = exact_rates(spec, setting, IDEAL)[0].values()
     for eff in (0.9, 0.5, 0.25):
-        scaled = exact_rates(spec, setting, DetectorModel(efficiency=eff)).values()
+        scaled = exact_rates(spec, setting, DetectorModel(efficiency=eff))[0].values()
         assert np.abs(scaled - eff**2 * base).max() < 1e-15
 
 
 def test_exact_rates_visibility_mixes_toward_uniform():
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, 0.0)
-    base = exact_rates(spec, setting, IDEAL).values()
+    base = exact_rates(spec, setting, IDEAL)[0].values()
     eta = 0.8
-    mixed = exact_rates(spec, setting, DetectorModel(visibility_eta=eta)).values()
+    mixed = exact_rates(spec, setting, DetectorModel(visibility_eta=eta))[0].values()
     expected = eta * base + (1 - eta) / 4.0 * base.sum()
     assert np.abs(mixed - expected).max() < 1e-15
     assert mixed.sum() == pytest.approx(base.sum())
@@ -364,7 +379,7 @@ def test_montecarlo_matches_exact_rates(runner):
     table = runner(spec, setting, IDEAL, trials, 2024)
     # exact rates are relative to the vacuum window; the per-trial event
     # probability carries the vacuum factor exp(-(mu_a + mu_b))
-    expected = exact_rates(spec, setting, IDEAL).values() * math.exp(-0.1) * trials
+    expected = exact_rates(spec, setting, IDEAL)[0].values() * math.exp(-0.1) * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -373,8 +388,8 @@ def test_threshold_semantics_counts_more_events():
     spec = SourceSpec(0.1, 0.1)
     setting = AnalyzerSetting(0.0, math.pi / 8)
     threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
-    strict = exact_rates(spec, setting, IDEAL).values()
-    loose = exact_rates(spec, setting, threshold).values()
+    strict = exact_rates(spec, setting, IDEAL)[0].values()
+    loose = exact_rates(spec, setting, threshold)[0].values()
     # threshold admits higher photon-number sectors, so it can only add rate
     assert (loose >= strict - 1e-15).all()
     assert loose.sum() > strict.sum()
@@ -389,7 +404,7 @@ def test_threshold_montecarlo_matches_exact_threshold_rates(runner):
     threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
     trials = 400_000
     table = runner(spec, setting, threshold, trials, 606)
-    expected = exact_rates(spec, setting, threshold).values() * math.exp(-0.2) * trials
+    expected = exact_rates(spec, setting, threshold)[0].values() * math.exp(-0.2) * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -403,7 +418,7 @@ def test_montecarlo_efficiency_thinning(runner):
     trials = 1_000_000
     table = runner(spec, setting, lossy, trials, 4242)
     expected = (
-        exact_rates(spec, setting, lossy).values() * math.exp(-eff * 0.16) * trials
+        exact_rates(spec, setting, lossy)[0].values() * math.exp(-eff * 0.16) * trials
     )
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
@@ -471,7 +486,7 @@ def test_coherent_table_matches_exact_rates():
         for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(0.3, 1.1)):
             table = coherent_outcome_table(spec, setting, IDEAL)
             vacuum = math.exp(-(spec.effective_mu_a + spec.effective_mu_b))
-            expected = exact_rates(spec, setting, IDEAL).values()
+            expected = configuration_rates(spec, setting, IDEAL).values()
             assert np.abs(table / vacuum - expected).max() <= 1e-15
 
 
@@ -540,10 +555,7 @@ def test_no_signaling_of_subtracted_marginals():
     alpha = 0.3
 
     def subtracted(beta):
-        tables = [
-            exact_rates(replace(spec, blocked=arm), AnalyzerSetting(alpha, beta), IDEAL).values()
-            for arm in (BlockedArm.NONE, BlockedArm.BLOCK_A, BlockedArm.BLOCK_B)
-        ]
+        tables = [t.values() for t in exact_rates(spec, AnalyzerSetting(alpha, beta), IDEAL)]
         return tables[0] - tables[1] - tables[2]
 
     marginals = []
@@ -559,10 +571,7 @@ def test_setting_difference_invariance():
     spec = SourceSpec(0.06, 0.06)
 
     def subtracted_e(alpha, beta):
-        tables = [
-            exact_rates(replace(spec, blocked=arm), AnalyzerSetting(alpha, beta), IDEAL).values()
-            for arm in (BlockedArm.NONE, BlockedArm.BLOCK_A, BlockedArm.BLOCK_B)
-        ]
+        tables = [t.values() for t in exact_rates(spec, AnalyzerSetting(alpha, beta), IDEAL)]
         c = tables[0] - tables[1] - tables[2]
         return (c[0] - c[1] - c[2] + c[3]) / c.sum()
 

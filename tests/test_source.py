@@ -89,7 +89,7 @@ def test_sector_states_are_built_once_per_process(monkeypatch):
     source._sector_state.cache_clear()
     for call in range(50):
         semantics = list(CoincidenceSemantics)[call % 2]
-        spec = SourceSpec(0.05 + 0.001 * call, 0.07, n_max=6, blocked=list(BlockedArm)[call % 3])
+        spec = SourceSpec(0.05 + 0.001 * call, 0.07, n_max=6)
         exact_rates(spec, AnalyzerSetting(0.1 * call, 0.3), DetectorModel(semantics=semantics))
     # every sector |i_aH, j_bV> but the vacuum, each exactly once
     assert sorted(built) == [(i, j) for i in range(7) for j in range(7) if i + j > 0]
