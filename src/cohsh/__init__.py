@@ -47,7 +47,6 @@ from .source import (
     poisson_pmf,
     trace_distance,
     two_mode_input,
-    two_photon_component,
 )
 from .measurement import (
     AnalyzerSetting,
@@ -56,7 +55,6 @@ from .measurement import (
     DetectorModel,
     RECOMBINER,
     analyzer_transform,
-    coincidence_probabilities,
     derive_rng,
     exact_rates,
     run_montecarlo_coherent,

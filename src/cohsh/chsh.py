@@ -90,14 +90,12 @@ class ChshResult:
     e_errors: tuple[float, float, float, float]
     s_value: float
     s_error: float
-    eta_fit: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "e_values": [float(e) for e in self.e_values],
             "s": float(self.s_value),
             "s_err": float(self.s_error),
-            "eta": None if self.eta_fit is None else float(self.eta_fit),
         }
 
 
@@ -116,8 +114,8 @@ def subtract_background(
 ) -> tuple[CountTable, float]:
     """Entrywise C = N(full) - N(arm a blocked) - N(arm b blocked).
 
-    The three tables must share settings and normalization (rates, or counts
-    from equal trial numbers).  Negative entries, which can arise from
+    The three tables must share settings and normalization (see
+    _common_normalization).  Negative entries, which can arise from
     statistical fluctuation, are clamped to zero; the clamped magnitude is
     returned as a diagnostic.
     """
@@ -146,7 +144,7 @@ def correlation_E(c_table: CountTable) -> SubtractedCorrelation:
     """Normalized correlation of a coincidence table.
 
     Count tables (trials > 0) get a multinomial standard error
-    sqrt((1 - E^2) / total); rate tables get zero (they are exact).
+    sqrt((1 - E^2) / total); exact-mode probability tables get zero.
     """
     values = c_table.values()
     total = float(values.sum())
@@ -240,19 +238,19 @@ def _common_normalization(
     spec: SourceSpec,
     detector: DetectorModel,
 ) -> tuple[CountTable, CountTable, CountTable]:
-    """Bring blocked-run counts into the full-run normalization.
+    """Bring the blocked runs into the full run's normalization, in every mode.
 
-    An exclusive one-photon-per-output window vetoes events in which the
-    other arm contributed photons, so a blocked run overcounts relative to
-    the full run by exactly the missing arm's vacuum factor.  Rescaling the
-    blocked counts by exp(-m), m the missing arm's detected mean, makes the
-    entrywise subtraction an unbiased estimate of the separable-background
-    removal.
-    Exact-mode rate tables already share the vacuum-relative units, and
-    threshold counting has no veto, so both pass through unchanged.
+    Every table is per trial: exact-mode probabilities, or Monte Carlo counts
+    of equal trial numbers.  An exclusive one-photon-per-output window vetoes
+    events in which the other arm contributed photons, so a blocked run
+    overcounts relative to the full run by exactly the missing arm's vacuum
+    factor.  Rescaling the blocked tables by exp(-m), m the missing arm's
+    detected mean, makes the entrywise subtraction remove the separable
+    background exactly (exact mode) or without bias (Monte Carlo).  Threshold
+    counting has no veto, so its tables pass through unchanged.
     """
     full, blocked_a, blocked_b = tables
-    if full.trials == 0 or detector.semantics is not CoincidenceSemantics.EXACT_ONE_ONE:
+    if detector.semantics is not CoincidenceSemantics.EXACT_ONE_ONE:
         return tables
     m_a, m_b = detected_means(spec, detector)
     return (
@@ -277,8 +275,9 @@ def measure_protocol(
     tables, and the clamp diagnostic; exact mode gets all three from one
     exact_rates call.  All three configurations use the same trial count; in
     Monte Carlo modes each configuration gets its own derived stream keyed by
-    (cell_key, configuration index), and the blocked counts are rescaled to
-    the full-run normalization before subtraction (see _common_normalization).
+    (cell_key, configuration index).  In every mode the blocked tables are
+    rescaled to the full-run normalization before subtraction (see
+    _common_normalization).
     """
     mode = RunMode(mode)
     if mode is RunMode.EXACT:

@@ -187,15 +187,6 @@ class StateVector:
     def scaled(self, factor: complex) -> "StateVector":
         return StateVector({s: a * factor for s, a in self._amp.items()})
 
-    def support_modes(self) -> set[ModeLabel]:
-        """Modes occupied by at least one term."""
-        support: set[ModeLabel] = set()
-        for state in self._amp:
-            for mode, n in zip(MODES, state.occ):
-                if n:
-                    support.add(mode)
-        return support
-
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
         keys = set(self._amp) | set(other._amp)
         return all(abs(self.amplitude(k) - other.amplitude(k)) <= tol for k in keys)

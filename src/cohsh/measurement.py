@@ -5,23 +5,21 @@ half-wave-plate / polarizing-splitter analyzer pair, and hit four detectors.
 Outcome "+" at a port is the H output after rotating that port's polarization
 by minus the analyzer angle, "-" is the V output.
 
-Rate normalization.  Exact-mode tables are two-photon event rates expressed
-relative to the vacuum-window rate, i.e. the mixture component |i_aH, j_bV>
-enters with coefficient
+Table units.  Exact-mode tables are per-trial probabilities: the outcome
+distribution of one configuration that the Monte Carlo samplers draw their
+counts from, so exact mode is the infinite-trial limit of Monte Carlo.  Exact
+mode propagates each sector |i_aH, j_bV> that can register (i + j = 2 for
+exact_one_one) once per setting, for all three configurations, and weights
+its row by the Poisson weight P(i; m_a) P(j; m_b) of the configuration's
+detected means m (see Detector model).  For exact_one_one this is the
+two-photon decomposition
 
-    m_a^i / i!  *  m_b^j / j!
+    N_ij = e^{-m_a-m_b} [m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)],
 
-of the detected means m (the Poisson weight divided by the vacuum weight;
-see Detector model).  For coherent light this equals the normally-ordered
-pair-detection rate, which is exactly bilinear in (m_a, m_b); in these
-units the two-photon decomposition
-
-    N_ij = m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)
-
-is an identity, the three-configuration background subtraction cancels the
-separable terms exactly, and the normalized correlation E is independent of
-the overall scale anyway.  Exact mode propagates each registering sector
-(i + j = 2 for exact_one_one) once per setting, for all three configurations.
+which equals the coherent-amplitude table; threshold tables equal it up to
+the Poisson tail beyond n_max.  How the blocked runs are brought to the full
+run's normalization before subtraction is decided in one place for every
+mode, chsh._common_normalization.
 
 Detector model.  Visibility eta mixes the ideal outcome distribution with a
 uniform relabeling of coincidences (E_measured = eta * E_ideal exactly).
@@ -56,8 +54,15 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import ModeTransform, apply, beam_splitter, compose, polarization_rotator
-from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, DensityMixture, Port, StateVector
-from .source import BlockedArm, SourceSpec, two_mode_input, _sector_state, _truncated_weights
+from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, Port, StateVector
+from .source import (
+    BlockedArm,
+    SourceSpec,
+    poisson_pmf,
+    two_mode_input,
+    _sector_state,
+    _truncated_weights,
+)
 
 #: Seeds are 64-bit: derive_rng accepts exactly the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 2**64
@@ -70,8 +75,6 @@ SEED_LIMIT = 2**64
 PHASE_NODES = 64
 
 _DET_MODES = (MODE_INDEX[CH], MODE_INDEX[CV], MODE_INDEX[DH], MODE_INDEX[DV])
-_INPUT_PORTS = {Port.A, Port.B}
-_OUTPUT_PORTS = {Port.C, Port.D}
 #: Detector-mode column pairs (c-side, d-side) for the four cells.
 _CELL_COLUMNS = ((0, 2), (0, 3), (1, 2), (1, 3))
 #: Click patterns of the four detectors (bit k set: detector k fires) and the
@@ -118,11 +121,12 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Coincidence counts or rates for the four (+/-, +/-) outcomes.
+    """Coincidence counts or probabilities for the four (+/-, +/-) outcomes.
 
-    ``trials == 0`` marks an exact-mode rate table; counts from Monte Carlo
-    carry the number of trials.  The remaining fields are run metadata used
-    to validate that tables entering a subtraction belong together.
+    ``trials == 0`` marks an exact-mode table of per-trial probabilities;
+    counts from Monte Carlo carry the number of trials.  The remaining fields
+    are run metadata used to validate that tables entering a subtraction
+    belong together.
     """
 
     n_pp: float
@@ -271,43 +275,6 @@ def _finalize_cells(outcomes: np.ndarray, detector: DetectorModel) -> np.ndarray
     return eta * cells + (1.0 - eta) / 4.0 * cells.sum()
 
 
-def _transform_for(support_ports: set[Port], setting: AnalyzerSetting) -> ModeTransform:
-    if support_ports <= _INPUT_PORTS:
-        return setup_transform(setting)
-    if support_ports <= _OUTPUT_PORTS:
-        return analyzer_transform(setting)
-    names = ",".join(sorted(p.value for p in support_ports))
-    raise ValueError(f"input occupies unsupported port combination: {names}")
-
-
-def coincidence_probabilities(
-    input_state: DensityMixture, setting: AnalyzerSetting, detector: DetectorModel
-) -> CountTable:
-    """Coincidence probabilities of a mixture under the analyzer setting.
-
-    States on the recombination inputs (ports a, b) are propagated through
-    the 50:50 splitter and the analyzers; states already on the output ports
-    c, d skip the splitter.  Events with both photons in one port register in
-    no cell.  Efficiency acts on the source means (detected_means), which a
-    general mixture lacks, so a lossy detector is refused.
-    """
-    if detector.efficiency != 1.0:
-        raise ValueError("coincidence_probabilities models lossless detectors only")
-    support = set()
-    for _, component in input_state.components:
-        support |= {mode.port for mode in component.support_modes()}
-    transform = _transform_for(support, setting)
-    outcomes = _empty_outcomes(detector.semantics)
-    for weight, component in input_state.components:
-        outcomes += weight * _outcome_probs(component, transform, detector.semantics)
-    return CountTable.from_values(
-        _finalize_cells(outcomes, detector),
-        trials=0,
-        alpha=setting.alpha,
-        beta=setting.beta,
-    )
-
-
 def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceSpec]:
     """The protocol's three configurations: both arms open, a blocked, b blocked."""
     if spec.blocked is not BlockedArm.NONE:
@@ -322,13 +289,13 @@ def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceS
 def exact_rates(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
 ) -> tuple[CountTable, CountTable, CountTable]:
-    """Two-photon event rates N_ij: (full, arm a blocked, arm b blocked) of an unblocked spec.
+    """Per-trial outcome probabilities: (full, arm a blocked, arm b blocked) of an unblocked spec.
 
     Each sector that can register is propagated once, and each configuration
-    weights its row by the rate coefficient of its own detected means
-    relative to the vacuum window (see the module docstring).  exact_one_one,
-    which registers only i + j == 2, asks the source for i, j <= 2 alone.
-    Dark counts are not modeled here; use the coherent sampler for that.
+    weights its row by the Poisson weight of its own detected means (see the
+    module docstring).  exact_one_one, which registers only i + j == 2, asks
+    the source for i, j <= 2 alone.  Dark counts are not modeled here; use
+    the coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
@@ -349,9 +316,7 @@ def exact_rates(
         m_a, m_b = detected_means(variant, detector)
         outcomes = _empty_outcomes(detector.semantics)
         for i, j, probs in rows:
-            coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
-            if coeff != 0.0:
-                outcomes += coeff * probs
+            outcomes += poisson_pmf(m_a, i) * poisson_pmf(m_b, j) * probs
         tables.append(_run_table(_finalize_cells(outcomes, detector), variant, setting, 0))
     return tuple(tables)
 

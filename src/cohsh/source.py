@@ -103,25 +103,6 @@ def two_mode_input(spec: SourceSpec) -> tuple[DensityMixture, float]:
     return DensityMixture.from_components(components), max(0.0, discarded)
 
 
-def two_photon_component(spec: SourceSpec) -> DensityMixture:
-    """The two-photon sector of the source mixture.
-
-    Unnormalized weights mu_a*mu_b on |1_aH,1_bV>, mu_a^2/2 on |2_aH>, and
-    mu_b^2/2 on |2_bV>; identical to conditioning the full product mixture on
-    total photon number two.
-    """
-    mu_a, mu_b = spec.effective_mu_a, spec.effective_mu_b
-    pairs = [
-        (mu_a * mu_b, _sector_state(1, 1)),
-        (mu_a**2 / 2.0, _sector_state(2, 0)),
-        (mu_b**2 / 2.0, _sector_state(0, 2)),
-    ]
-    components = [(w, s) for w, s in pairs if w > 0.0]
-    if not components:
-        raise ValueError("two-photon component is empty: both means are zero")
-    return DensityMixture.from_components(components)
-
-
 def coherent_state(
     mu: float, phase: float, n_max: int, mode: ModeLabel = AH
 ) -> StateVector:

@@ -26,7 +26,6 @@ from cohsh.fock import AH, FockBasisState, Port, StateVector, basis_state, densi
 from cohsh.measurement import (
     AnalyzerSetting,
     DetectorModel,
-    coincidence_probabilities,
     exact_rates,
     run_montecarlo_coherent,
     run_montecarlo_fock,
@@ -35,11 +34,16 @@ from cohsh.source import (
     SourceSpec,
     phase_averaged_coherent,
     poisson_diagonal_mixture,
+    poisson_pmf,
     trace_distance,
 )
-from cohsh.fock import DensityMixture
 
-from oracle import oracle_bs_expand, oracle_singlet_E, oracle_unsubtracted_E
+from oracle import (
+    oracle_bs_expand,
+    oracle_sector_tables,
+    oracle_singlet_E,
+    oracle_unsubtracted_E,
+)
 
 IDEAL = DetectorModel()
 SQRT2 = math.sqrt(2.0)
@@ -147,22 +151,16 @@ def test_criterion_4_subtraction_necessity():
 
 
 def test_criterion_5_two_photon_decomposition():
+    """The exact table is the Poisson-weighted sum of the closed-form two-photon tables."""
     spec = SourceSpec(0.05, 0.05)
     worst = 0.0
     for setting in setting_quad(*BELL_TEST_ANGLES):
         table = exact_rates(spec, setting, IDEAL)[0].values()
-        pieces = np.zeros(4)
-        for coeff, occ in (
-            (spec.mu_a * spec.mu_b, {"aH": 1, "bV": 1}),
-            (spec.mu_a**2 / 2.0, {"aH": 2}),
-            (spec.mu_b**2 / 2.0, {"bV": 2}),
-        ):
-            mixture = DensityMixture(
-                ((1.0, StateVector.from_basis(FockBasisState.from_occupations(occ))),)
-            )
-            pieces = pieces + coeff * coincidence_probabilities(
-                mixture, setting, IDEAL
-            ).values()
+        sectors = oracle_sector_tables(setting.alpha, setting.beta)
+        pieces = sum(
+            poisson_pmf(spec.mu_a, i) * poisson_pmf(spec.mu_b, j) * sectors[key]
+            for key, i, j in (("one_one", 1, 1), ("two_zero", 2, 0), ("zero_two", 0, 2))
+        )
         worst = max(worst, float(np.abs(table - pieces).max()))
     assert worst < 1e-6, f"decomposition residual {worst:.3e}"
     _report(5, f"max |N - two-photon decomposition| = {worst:.3e} (tol 1e-6)")

@@ -96,20 +96,34 @@ def test_exact_subtraction_isolates_anticorrelation():
 
 
 def test_blocked_rescaling_uses_detected_means():
-    """Rescaled per-trial blocked tables share the full run's vacuum factor."""
+    """A lossy run normalizes its blocked tables as the lossless run at its detected means.
+
+    Exact tables and per-trial coherent tables go through the same rescaling.
+    """
     eff = 0.6
-    detector = DetectorModel(efficiency=eff)
+    lossy = DetectorModel(efficiency=eff)
     spec = SourceSpec(0.1, 0.07)
+    detected = SourceSpec(eff * spec.mu_a, eff * spec.mu_b)
     setting = AnalyzerSetting(0.0, math.pi / 8)
-    per_trial = tuple(
-        CountTable.from_values(coherent_outcome_table(s, setting, detector), trials=1)
-        for s in _blocked_variants(spec)
-    )
-    vacuum = math.exp(-eff * (spec.mu_a + spec.mu_b))
-    rescaled_tables = _common_normalization(per_trial, spec, detector)
-    for rescaled, rates in zip(rescaled_tables, exact_rates(spec, setting, detector)):
-        expected = rates.values() * vacuum
-        assert np.abs(rescaled.values() - expected).max() <= 1e-14 * expected.max()
+
+    def normalized(spec, detector):
+        per_trial = tuple(
+            CountTable.from_values(coherent_outcome_table(s, setting, detector), trials=1)
+            for s in _blocked_variants(spec)
+        )
+        return (
+            _common_normalization(per_trial, spec, detector),
+            _common_normalization(exact_rates(spec, setting, detector), spec, detector),
+        )
+
+    lossy_tables, lossless_tables = normalized(spec, lossy), normalized(detected, IDEAL)
+    for lossy_run, lossless_run in zip(lossy_tables, lossless_tables):
+        for ours, reference in zip(lossy_run, lossless_run):
+            expected = reference.values()
+            assert np.abs(ours.values() - expected).max() <= 1e-14 * expected.max()
+    for coherent, exact in zip(*lossy_tables):
+        expected = exact.values()
+        assert np.abs(coherent.values() - expected).max() <= 1e-14 * expected.max()
 
 
 def test_correlation_e_values():
@@ -177,12 +191,6 @@ def test_bell_angle_matches_quad_form_exactly():
     assert abs(bell_angle_S(e_t, e_3t).s_value - run.result.s_value) < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open bug: exact threshold tables are vacuum-relative per configuration, so the "
-    "exact subtraction rescales blocked runs by exp(-m), while _common_normalization passes "
-    "threshold Monte Carlo counts through unscaled; the two modes disagree by ~31 sigma",
-)
 def test_exact_threshold_matches_monte_carlo():
     spec = SourceSpec(0.1, 0.1, n_max=6)
     detector = DetectorModel(visibility_eta=0.9, semantics=CoincidenceSemantics.THRESHOLD)
@@ -191,6 +199,18 @@ def test_exact_threshold_matches_monte_carlo():
         spec, detector, mode="mc_coherent", trials=20_000_000, repetitions=4, seed=11
     ).result
     assert abs(exact.s_value - sampled.s_value) <= 5.0 * sampled.s_error
+
+
+def test_threshold_subtraction_leaves_blocked_runs_unscaled():
+    """Threshold counting has no veto, so its blocked runs are subtracted as measured.
+
+    Unscaled, the separable terms the subtraction leaves shift S by about
+    0.35 mu; rescaling the blocked runs by exp(-m), as exact_one_one needs,
+    would pull S below 2*sqrt2 by about 3.8 mu.
+    """
+    detector = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
+    s = run_chsh(SourceSpec(0.01, 0.01), detector).result.s_value
+    assert abs(s - 2 * SQRT2) < 0.01
 
 
 def test_run_chsh_exact_values():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsh import cli
 from cohsh.cli import build_parser, main, validation_checks
 from cohsh.config import ConfigError, ExperimentConfig, RunMode, load_config
 from cohsh.fock import MODES
@@ -84,10 +85,9 @@ def test_cli_chsh_exact_tsirelson(tmp_path, capsys):
     code = main(["chsh", "--config", write_config(tmp_path), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"e_values", "s", "s_err", "eta"}
+    assert set(doc) == {"e_values", "s", "s_err"}
     assert doc["s"] == pytest.approx(2 * SQRT2, abs=1e-9)
     assert doc["s_err"] == 0.0
-    assert doc["eta"] is None
     assert "violates the classical bound" in capsys.readouterr().out
 
 
@@ -204,6 +204,23 @@ def test_validation_checks_details():
     assert checks["phase-average"][0]
     assert "trace distance" in checks["phase-average"][1]
     assert checks["two-photon-decomposition"][0]
+
+
+@pytest.mark.parametrize("builder", ["exact_rates", "coherent_outcome_table"])
+def test_validate_two_photon_check_fails_on_a_scaled_builder(monkeypatch, builder):
+    """The exact and coherent tables are built independently, so a 1e-9 error shows."""
+    original = getattr(cli, builder)
+
+    def scaled(*args):
+        result = original(*args)
+        if builder == "exact_rates":
+            return tuple(t.with_values(t.values() * (1.0 + 1e-9)) for t in result)
+        return result * (1.0 + 1e-9)
+
+    monkeypatch.setattr(cli, builder, scaled)
+    checks = {name: ok for name, ok, _ in validation_checks()}
+    assert not checks["two-photon-decomposition"]
+    assert sum(checks.values()) == len(checks) - 1
 
 
 def test_cli_dump_state(tmp_path):

@@ -7,23 +7,26 @@ import numpy as np
 import pytest
 
 from cohsh import measurement
+from cohsh.chsh import _common_normalization, subtract_background
 from cohsh.elements import compose
-from cohsh.fock import AH, BV, DensityMixture, StateVector, basis_state
+from cohsh.fock import AH, BV, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
     CoincidenceSemantics,
     CountTable,
     DetectorModel,
+    _outcome_probs,
+    _sector_table,
     analyzer_transform,
     coherent_outcome_table,
-    coincidence_probabilities,
     derive_rng,
     exact_rates,
     fock_outcome_table,
     run_montecarlo_coherent,
     run_montecarlo_fock,
+    setup_transform,
 )
-from cohsh.source import BlockedArm, SourceSpec, two_photon_component
+from cohsh.source import BlockedArm, SourceSpec, poisson_pmf, two_mode_input
 
 from oracle import oracle_poisson_readout_counts, oracle_sector_tables
 from test_fock import psi_minus
@@ -37,8 +40,22 @@ def configuration_rates(spec, setting, detector) -> CountTable:
     return tables[list(BlockedArm).index(spec.blocked)]
 
 
-def pure_mixture(**occupations) -> DensityMixture:
-    return DensityMixture(((1.0, StateVector.from_basis(basis_state(**occupations))),))
+EXACT = CoincidenceSemantics.EXACT_ONE_ONE
+
+
+def one_one_probs(state: StateVector, transform) -> np.ndarray:
+    """The four exact_one_one cell probabilities of one pure state."""
+    return _outcome_probs(state, transform, EXACT)
+
+
+def sector(**occupations) -> StateVector:
+    return StateVector.from_basis(basis_state(**occupations))
+
+
+def subtracted(spec, setting, detector=IDEAL) -> np.ndarray:
+    """The background-subtracted exact table, blocked runs normalized as in every mode."""
+    tables = _common_normalization(exact_rates(spec, setting, detector), spec, detector)
+    return subtract_background(*tables)[0].values()
 
 
 def test_analyzer_transform_zero_is_identity():
@@ -48,65 +65,47 @@ def test_analyzer_transform_zero_is_identity():
 
 def test_analyzer_transform_quarter_turn_swaps_outcomes():
     transform = analyzer_transform(AnalyzerSetting(math.pi / 2, 0.0))
-    table = coincidence_probabilities(
-        DensityMixture(((1.0, psi_minus()),)), AnalyzerSetting(math.pi / 2, 0.0), IDEAL
-    )
+    pp, pm, mp, mm = one_one_probs(psi_minus(), transform)
     # "+" at port c now means original V: the anti-correlation flips
-    assert table.n_pp == pytest.approx(0.5)
-    assert table.n_mm == pytest.approx(0.5)
-    assert table.n_pm == pytest.approx(0.0, abs=1e-12)
-    assert table.n_mp == pytest.approx(0.0, abs=1e-12)
+    assert pp == pytest.approx(0.5)
+    assert mm == pytest.approx(0.5)
+    assert pm == pytest.approx(0.0, abs=1e-12)
+    assert mp == pytest.approx(0.0, abs=1e-12)
     assert transform.unitarity_defect() < 1e-12
 
 
 def test_singlet_on_output_ports_equal_settings():
-    table = coincidence_probabilities(
-        DensityMixture(((1.0, psi_minus()),)), AnalyzerSetting(0.4, 0.4), IDEAL
-    )
-    assert table.n_pp == pytest.approx(0.0, abs=1e-12)
-    assert table.n_mm == pytest.approx(0.0, abs=1e-12)
-    assert table.n_pm == pytest.approx(0.5)
-    assert table.n_mp == pytest.approx(0.5)
+    pp, pm, mp, mm = one_one_probs(psi_minus(), analyzer_transform(AnalyzerSetting(0.4, 0.4)))
+    assert pp == pytest.approx(0.0, abs=1e-12)
+    assert mm == pytest.approx(0.0, abs=1e-12)
+    assert pm == pytest.approx(0.5)
+    assert mp == pytest.approx(0.5)
 
 
 def test_two_h_photons_from_one_arm():
-    table = coincidence_probabilities(pure_mixture(aH=2), AnalyzerSetting(0.0, 0.0), IDEAL)
-    assert table.n_pp == pytest.approx(0.5)
-    assert table.n_pm + table.n_mp + table.n_mm == pytest.approx(0.0, abs=1e-12)
+    pp, pm, mp, mm = one_one_probs(sector(aH=2), setup_transform(AnalyzerSetting(0.0, 0.0)))
+    assert pp == pytest.approx(0.5)
+    assert pm + mp + mm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vacuum_gives_zero_table():
-    table = coincidence_probabilities(pure_mixture(), AnalyzerSetting(0.3, 0.1), IDEAL)
-    assert table.total == 0.0
-
-
-def test_input_on_wrong_ports_rejected():
-    mixed = DensityMixture(
-        ((1.0, StateVector.from_basis(basis_state(aH=1, cH=1))),)
-    )
-    with pytest.raises(ValueError):
-        coincidence_probabilities(mixed, AnalyzerSetting(0.0, 0.0), IDEAL)
+    assert one_one_probs(sector(), setup_transform(AnalyzerSetting(0.3, 0.1))).sum() == 0.0
 
 
 def test_sector_tables_match_closed_forms():
     for alpha, beta in ((0.0, 0.0), (0.3, 0.1), (math.pi / 8, 1.1), (2.0, -0.4)):
-        setting = AnalyzerSetting(alpha, beta)
+        rows = _sector_table(AnalyzerSetting(alpha, beta), 2, EXACT)
         reference = oracle_sector_tables(alpha, beta)
-        ours = {
-            "one_one": coincidence_probabilities(pure_mixture(aH=1, bV=1), setting, IDEAL),
-            "two_zero": coincidence_probabilities(pure_mixture(aH=2), setting, IDEAL),
-            "zero_two": coincidence_probabilities(pure_mixture(bV=2), setting, IDEAL),
-        }
+        ours = {"one_one": rows[1, 1], "two_zero": rows[2, 0], "zero_two": rows[0, 2]}
         for key, expected in reference.items():
-            assert np.abs(ours[key].values() - expected).max() < 1e-12, key
+            assert np.abs(ours[key] - expected).max() < 1e-12, key
 
 
 def test_exact_rates_blocked_matches_sector_rate():
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.2, 0.9)
     _, _, table = exact_rates(spec, setting, IDEAL)
-    sector = coincidence_probabilities(pure_mixture(aH=2), setting, IDEAL)
-    expected = (0.05**2 / 2.0) * sector.values()
+    expected = poisson_pmf(0.05, 2) * _sector_table(setting, 2, EXACT)[2, 0]
     assert np.abs(table.values() - expected).max() < 1e-15
 
 
@@ -121,25 +120,24 @@ def test_exact_rates_two_photon_decomposition():
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, math.pi / 8)
     table = exact_rates(spec, setting, IDEAL)[0].values()
+    vacuum = math.exp(-spec.mu_a - spec.mu_b)
     terms = (
-        spec.mu_a * spec.mu_b,
-        spec.mu_a**2 / 2.0,
-        spec.mu_b**2 / 2.0,
+        vacuum * spec.mu_a * spec.mu_b,
+        vacuum * spec.mu_a**2 / 2.0,
+        vacuum * spec.mu_b**2 / 2.0,
     )
-    states = (pure_mixture(aH=1, bV=1), pure_mixture(aH=2), pure_mixture(bV=2))
+    transform = setup_transform(setting)
+    states = (sector(aH=1, bV=1), sector(aH=2), sector(bV=2))
     decomposed = sum(
-        coeff * coincidence_probabilities(mix, setting, IDEAL).values()
-        for coeff, mix in zip(terms, states)
+        coeff * one_one_probs(state, transform) for coeff, state in zip(terms, states)
     )
     assert np.abs(table - decomposed).max() < 1e-15
-    # sector-conditioned form: same decomposition through the mixture weights
-    sector = two_photon_component(spec)
-    total_rate = sum(terms)
+    # the same decomposition through the source mixture's two-photon weights
+    mixture, discarded = two_mode_input(spec)
     recombined = sum(
-        weight * total_rate * coincidence_probabilities(
-            DensityMixture(((1.0, state),)), setting, IDEAL
-        ).values()
-        for weight, state in sector.components
+        weight * (1.0 - discarded) * one_one_probs(state, transform)
+        for weight, state in mixture.components
+        if state.items()[0][0].total_photons == 2
     )
     assert np.abs(table - recombined).max() < 1e-12
 
@@ -169,13 +167,6 @@ def _full_sector_table(setting, n_max, semantics):
             for i in range(n_max + 1)
         ]
     )
-
-
-def test_coincidence_probabilities_rejects_lossy_detector():
-    with pytest.raises(ValueError, match="lossless"):
-        coincidence_probabilities(
-            pure_mixture(aH=1, bV=1), AnalyzerSetting(0.0, 0.0), DetectorModel(efficiency=0.6)
-        )
 
 
 def test_exact_one_one_registers_only_two_photon_sectors():
@@ -211,9 +202,7 @@ def test_exact_rates_equals_sum_over_every_sector(semantics):
                 outcomes = measurement._empty_outcomes(semantics)
                 for i in range(n_max + 1):
                     for j in range(n_max + 1):
-                        coeff = m_a**i / math.factorial(i) * m_b**j / math.factorial(j)
-                        if coeff != 0.0:
-                            outcomes += coeff * full[i, j]
+                        outcomes += poisson_pmf(m_a, i) * poisson_pmf(m_b, j) * full[i, j]
                 reference = measurement._finalize_cells(outcomes, detector)
                 assert np.array_equal(table.values(), reference), (n_max, mu_a, mu_b, table)
 
@@ -286,27 +275,15 @@ def test_efficiency_is_the_detected_mean_substitution(semantics):
                     ), (eff, arm, setting, build)
 
 
-def test_exact_threshold_rates_match_lossy_coherent_table():
-    """Exact threshold rates at efficiency < 1 are the Poisson readout of eff * mu."""
-    eff = 0.6
-    detector = DetectorModel(efficiency=eff, semantics=CoincidenceSemantics.THRESHOLD)
-    for arm in BlockedArm:
-        spec = SourceSpec(0.1, 0.07, n_max=8, blocked=arm)
-        vacuum = math.exp(-eff * (spec.effective_mu_a + spec.effective_mu_b))
-        for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(2.0, -0.4)):
-            rates = configuration_rates(spec, setting, detector).values()
-            table = coherent_outcome_table(spec, setting, detector)
-            reference = table @ measurement._PATTERN_CELLS / vacuum
-            assert np.abs(rates - reference).max() <= 1e-10 * np.abs(reference).max()
-
-
 def test_exact_rates_efficiency_scaling():
     spec = SourceSpec(0.08, 0.03)
     setting = AnalyzerSetting(0.5, 0.2)
     base = exact_rates(spec, setting, IDEAL)[0].values()
     for eff in (0.9, 0.5, 0.25):
         scaled = exact_rates(spec, setting, DetectorModel(efficiency=eff))[0].values()
-        assert np.abs(scaled - eff**2 * base).max() < 1e-15
+        # two detected photons, each kept with probability eff, and a brighter vacuum
+        expected = eff**2 * math.exp((1.0 - eff) * (spec.mu_a + spec.mu_b)) * base
+        assert np.abs(scaled - expected).max() < 1e-15
 
 
 def test_exact_rates_visibility_mixes_toward_uniform():
@@ -377,9 +354,7 @@ def test_montecarlo_matches_exact_rates(runner):
     setting = AnalyzerSetting(0.0, math.pi / 8)
     trials = 400_000
     table = runner(spec, setting, IDEAL, trials, 2024)
-    # exact rates are relative to the vacuum window; the per-trial event
-    # probability carries the vacuum factor exp(-(mu_a + mu_b))
-    expected = exact_rates(spec, setting, IDEAL)[0].values() * math.exp(-0.1) * trials
+    expected = exact_rates(spec, setting, IDEAL)[0].values() * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -404,7 +379,7 @@ def test_threshold_montecarlo_matches_exact_threshold_rates(runner):
     threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
     trials = 400_000
     table = runner(spec, setting, threshold, trials, 606)
-    expected = exact_rates(spec, setting, threshold)[0].values() * math.exp(-0.2) * trials
+    expected = exact_rates(spec, setting, threshold)[0].values() * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -417,9 +392,7 @@ def test_montecarlo_efficiency_thinning(runner):
     lossy = DetectorModel(efficiency=eff)
     trials = 1_000_000
     table = runner(spec, setting, lossy, trials, 4242)
-    expected = (
-        exact_rates(spec, setting, lossy)[0].values() * math.exp(-eff * 0.16) * trials
-    )
+    expected = exact_rates(spec, setting, lossy)[0].values() * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -479,15 +452,31 @@ def test_outcome_table_builders_agree(semantics, efficiency):
             assert np.abs(fock - coherent).max() <= 1e-12
 
 
-def test_coherent_table_matches_exact_rates():
-    """exact_one_one probabilities are the vacuum-relative rates times exp(-mu_a - mu_b)."""
-    for arm in BlockedArm:
-        spec = SourceSpec(0.05, 0.08, blocked=arm)
-        for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(0.3, 1.1)):
-            table = coherent_outcome_table(spec, setting, IDEAL)
-            vacuum = math.exp(-(spec.effective_mu_a + spec.effective_mu_b))
-            expected = configuration_rates(spec, setting, IDEAL).values()
-            assert np.abs(table / vacuum - expected).max() <= 1e-15
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+@pytest.mark.parametrize("efficiency", [1.0, 0.6])
+def test_exact_rates_equal_the_coherent_table(semantics, efficiency):
+    """Every exact configuration is the coherent per-trial table, with no vacuum factor.
+
+    exact_one_one agrees to rounding; threshold drops the Poisson tail beyond
+    n_max, below 1e-10 of the table at n_max 8 and mu <= 0.1.
+    """
+    detector = DetectorModel(visibility_eta=0.9, efficiency=efficiency, semantics=semantics)
+    tol = 1e-15 if semantics is CoincidenceSemantics.EXACT_ONE_ONE else 1e-10
+    for mu_a, mu_b in ((0.1, 0.07), (0.05, 0.08)):
+        spec = SourceSpec(mu_a, mu_b, n_max=8)
+        for setting in (
+            AnalyzerSetting(0.0, math.pi / 8),
+            AnalyzerSetting(0.3, 1.1),
+            AnalyzerSetting(2.0, -0.4),
+        ):
+            tables = exact_rates(spec, setting, detector)
+            for arm, table in zip(BlockedArm, tables):
+                config = replace(spec, blocked=arm)
+                reference = measurement._finalize_cells(
+                    coherent_outcome_table(config, setting, detector), detector
+                )
+                error = np.abs(table.values() - reference).max()
+                assert error <= tol * np.abs(reference).max(), (arm, setting, error)
 
 
 def test_threshold_quadrature_is_converged(monkeypatch):
@@ -553,14 +542,9 @@ def test_montecarlo_visibility_scales_correlation():
 def test_no_signaling_of_subtracted_marginals():
     spec = SourceSpec(0.05, 0.05)
     alpha = 0.3
-
-    def subtracted(beta):
-        tables = [t.values() for t in exact_rates(spec, AnalyzerSetting(alpha, beta), IDEAL)]
-        return tables[0] - tables[1] - tables[2]
-
     marginals = []
     for beta in (0.0, 0.4, 1.2):
-        c = subtracted(beta)
+        c = subtracted(spec, AnalyzerSetting(alpha, beta))
         marginals.append((c[0] + c[1], c[2] + c[3]))
     for plus, minus in marginals[1:]:
         assert plus == pytest.approx(marginals[0][0], abs=1e-9)
@@ -571,8 +555,7 @@ def test_setting_difference_invariance():
     spec = SourceSpec(0.06, 0.06)
 
     def subtracted_e(alpha, beta):
-        tables = [t.values() for t in exact_rates(spec, AnalyzerSetting(alpha, beta), IDEAL)]
-        c = tables[0] - tables[1] - tables[2]
+        c = subtracted(spec, AnalyzerSetting(alpha, beta))
         return (c[0] - c[1] - c[2] + c[3]) / c.sum()
 
     for delta in (0.0, 0.17, 1.0):

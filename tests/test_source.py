@@ -17,7 +17,6 @@ from cohsh.source import (
     poisson_pmf,
     trace_distance,
     two_mode_input,
-    two_photon_component,
 )
 
 
@@ -95,38 +94,20 @@ def test_sector_states_are_built_once_per_process(monkeypatch):
     assert sorted(built) == [(i, j) for i in range(7) for j in range(7) if i + j > 0]
 
 
-def test_two_photon_component_weights():
-    mixture = two_photon_component(SourceSpec(0.1, 0.1))
-    weights = {}
-    for weight, state in mixture.components:
-        (bstate, _), = state.items()
-        weights[(bstate.count(AH), bstate.count(BV))] = weight
-    assert weights[(1, 1)] == pytest.approx(0.5)
-    assert weights[(2, 0)] == pytest.approx(0.25)
-    assert weights[(0, 2)] == pytest.approx(0.25)
-
-    only_a = two_photon_component(SourceSpec(0.1, 0.0))
-    assert len(only_a.components) == 1
-    assert only_a.components[0][0] == 1.0
-
-    with pytest.raises(ValueError):
-        two_photon_component(SourceSpec(0.0, 0.0))
-
-
-def test_two_photon_component_matches_conditioned_input():
-    spec = SourceSpec(0.07, 0.11)
-    sector = {
-        tuple(s.items()[0][0].occ): w for w, s in two_photon_component(spec).components
-    }
-    mixture, _ = two_mode_input(spec)
+def test_two_mode_input_conditioned_on_two_photons():
+    """The two-photon sector weighs |1,1>, |2,0>, |0,2> as mu_a mu_b : mu_a^2/2 : mu_b^2/2."""
+    mu_a, mu_b = 0.07, 0.11
+    mixture, _ = two_mode_input(SourceSpec(mu_a, mu_b))
     conditioned = {}
     for weight, state in mixture.components:
         (bstate, _), = state.items()
         if bstate.total_photons == 2:
-            conditioned[tuple(bstate.occ)] = weight
+            conditioned[(bstate.count(AH), bstate.count(BV))] = weight
+    pair = {(1, 1): mu_a * mu_b, (2, 0): mu_a**2 / 2.0, (0, 2): mu_b**2 / 2.0}
+    assert set(conditioned) == set(pair)
     total = sum(conditioned.values())
-    for occ, weight in conditioned.items():
-        assert weight / total == pytest.approx(sector[occ], abs=1e-12)
+    for sector, weight in conditioned.items():
+        assert weight / total == pytest.approx(pair[sector] / sum(pair.values()), abs=1e-12)
 
 
 def test_phase_average_single_phase_is_pure_coherent():
