@@ -19,9 +19,10 @@ Schema (all keys optional, defaults shown):
       "output": {"path": null, "format": "json"}
     }
 
-Parsing is strict: unknown keys raise ConfigError.  parse -> serialize ->
-parse is the identity (a sweep given as start/stop/points serializes as the
-explicit list it expands to).
+Parsing is strict: unknown keys raise ConfigError, and so do fractional or
+boolean values of the integer keys (whole-number floats such as 1e7 pass).
+parse -> serialize -> parse is the identity (a sweep given as
+start/stop/points serializes as the explicit list it expands to).
 """
 
 from __future__ import annotations
@@ -116,12 +117,12 @@ class ExperimentConfig:
             source = _parse_source(data.pop("source", {}))
             detector = _parse_detector(data.pop("detector", {}))
             mode = RunMode(data.pop("mode", "exact"))
-            trials = int(data.pop("trials", 1_000_000))
-            repetitions = int(data.pop("repetitions", 10))
+            trials = _whole("trials", data.pop("trials", 1_000_000))
+            repetitions = _whole("repetitions", data.pop("repetitions", 10))
             quad, sweep = _parse_angles(data.pop("angles", {}))
             seed = data.pop("seed", None)
-            seed = None if seed is None else int(seed)
-            workers = int(data.pop("workers", 1))
+            seed = None if seed is None else _whole("seed", seed)
+            workers = _whole("workers", data.pop("workers", 1))
             out_path, out_format = _parse_output(data.pop("output", {}))
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -142,6 +143,14 @@ class ExperimentConfig:
         )
 
 
+def _whole(key: str, value: Any) -> int:
+    """An integer config value.  Whole-number floats such as 1e7 are accepted;
+    fractional, infinite or boolean values are refused, never truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _reject_unknown(section: str, data: Mapping, allowed: set[str]) -> None:
     unknown = set(data) - allowed
     if unknown:
@@ -153,7 +162,7 @@ def _parse_source(data: Mapping) -> SourceSpec:
     return SourceSpec(
         mu_a=float(data.get("mu_a", 0.05)),
         mu_b=float(data.get("mu_b", 0.05)),
-        n_max=int(data.get("n_max", 4)),
+        n_max=_whole("source.n_max", data.get("n_max", 4)),
         blocked=BlockedArm(data.get("blocked", "none")),
     )
 
@@ -187,7 +196,7 @@ def _parse_angles(data: Mapping) -> tuple[tuple[float, float, float, float], tup
         grid = data["sweep"]
         if isinstance(grid, Mapping):
             _reject_unknown("angles.sweep", grid, {"start", "stop", "points"})
-            points = int(grid["points"])
+            points = _whole("angles.sweep.points", grid["points"])
             if points < 1:
                 raise ConfigError("sweep needs at least one point")
             sweep = tuple(
@@ -234,19 +243,19 @@ def apply_overrides(
     """Command-line flag overrides on top of a parsed config."""
     updates: dict[str, Any] = {}
     if seed is not None:
-        updates["seed"] = int(seed)
+        updates["seed"] = _whole("seed", seed)
     if mode is not None:
         updates["mode"] = RunMode(mode)
     if trials is not None:
-        updates["trials"] = int(trials)
+        updates["trials"] = _whole("trials", trials)
     if repetitions is not None:
-        updates["repetitions"] = int(repetitions)
+        updates["repetitions"] = _whole("repetitions", repetitions)
     if out_path is not None:
         updates["out_path"] = out_path
     if out_format is not None:
         updates["out_format"] = OutputFormat(out_format)
     if workers is not None:
-        updates["workers"] = int(workers)
+        updates["workers"] = _whole("workers", workers)
     try:
         return replace(cfg, **updates) if updates else cfg
     except ValueError as exc:

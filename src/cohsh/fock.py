@@ -24,8 +24,6 @@ import numpy as np
 
 #: Amplitudes with magnitude at or below this are dropped after linear ops.
 PRUNE_EPS = 1e-15
-#: Tolerance for the unit-norm and unit-weight invariants.
-NORM_TOL = 1e-12
 
 
 class Port(str, Enum):
@@ -105,10 +103,6 @@ class FockBasisState:
     def count(self, mode: ModeLabel) -> int:
         return self.occ[MODE_INDEX[mode]]
 
-    @property
-    def total_photons(self) -> int:
-        return sum(self.occ)
-
     def __str__(self) -> str:
         inside = ",".join(f"{n}_{mode.name}" for mode, n in self.occupations().items())
         return f"|{inside or 'vac'}>"
@@ -186,10 +180,6 @@ class StateVector:
 
     def scaled(self, factor: complex) -> "StateVector":
         return StateVector({s: a * factor for s, a in self._amp.items()})
-
-    def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
-        keys = set(self._amp) | set(other._amp)
-        return all(abs(self.amplitude(k) - other.amplitude(k)) <= tol for k in keys)
 
     def to_json_obj(self) -> list[dict]:
         return [

@@ -35,7 +35,10 @@ multinomial over p-bar, the per-trial outcome distribution averaged over the
 beam phases.  Two independent builders compute p-bar: fock_outcome_table
 from Fock propagation of photon-number inputs, coherent_outcome_table from
 the Poisson readout of coherent amplitudes.  One sampler turns either into
-counts.
+counts.  Each builder keeps its last three tables, read-only: the protocol
+draws a setting's three configurations one repetition after another, so every
+repetition samples from the tables built for the first, and the next setting
+rebuilds them.
 
 Monte Carlo determinism.  Every (setting, configuration, repetition) cell
 draws from its own SeedSequence-derived stream (derive_rng) and takes one
@@ -68,10 +71,9 @@ from .source import (
 SEED_LIMIT = 2**64
 
 #: Equispaced phase-difference nodes of coherent_outcome_table's trapezoidal
-#: rule.  It is exact for the exact_one_one integrand, a trigonometric
-#: polynomial of degree 2, and converges exponentially for the smooth
-#: threshold integrand: at 64 nodes it matches 128 nodes to rounding for
-#: mean photon numbers up to ten per beam.
+#: rule for threshold tables (exact_one_one has a closed form).  It converges
+#: exponentially for the smooth threshold integrand: at 64 nodes it matches
+#: 128 nodes to rounding for mean photon numbers up to ten per beam.
 PHASE_NODES = 64
 
 _DET_MODES = (MODE_INDEX[CH], MODE_INDEX[CV], MODE_INDEX[DH], MODE_INDEX[DV])
@@ -111,6 +113,9 @@ class DetectorModel:
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        # a str value compares equal to its enum member, so coerce it: equal
+        # models must build equal tables (the outcome-table memos rely on it)
+        object.__setattr__(self, "semantics", CoincidenceSemantics(self.semantics))
         if not 0.0 <= self.visibility_eta <= 1.0:
             raise ValueError("visibility_eta must lie in [0, 1]")
         if not 0.0 < self.efficiency <= 1.0:
@@ -342,19 +347,29 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return np.random.default_rng(int(rng))
 
 
+@lru_cache(maxsize=3)
 def coherent_outcome_table(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
 ) -> np.ndarray:
     """Per-trial outcome probabilities of the coherent-amplitude model.
 
     Coherent states stay coherent under linear optics, so for a phase
-    difference delta between the beams detector k sees intensity I_k(delta)
-    of the beams' detected means and registers an independent Poisson count
-    of mean m_k = I_k + dark_rate.  The per-trial probabilities are averaged
-    over delta by the trapezoidal rule on PHASE_NODES equispaced nodes.
-    Returns the four cell probabilities m_c m_d exp(-sum m) for
-    exact_one_one, or the probabilities of the 16 click patterns for
-    threshold.
+    difference delta between the beams detector k sees intensity
+    I_k(delta) = b_k + Re(x_k e^{i delta}) of the beams' detected means and
+    registers an independent Poisson count of mean m_k = I_k + dark_rate.
+    The per-trial probabilities are averaged over delta.  Returns the four
+    cell probabilities for exact_one_one, or the probabilities of the 16
+    click patterns for threshold.
+
+    exact_one_one has a closed form: the setup carries both beams wholly
+    onto the detectors, so sum_k I_k = m_a + m_b for every delta and the
+    average of m_c m_d exp(-sum m) is
+
+        exp(-(m_a + m_b + 4 dark)) [(b_c + dark)(b_d + dark) + Re(x_c conj(x_d)) / 2].
+
+    Threshold averages by the trapezoidal rule on PHASE_NODES equispaced
+    nodes.  Built once per (spec, setting, detector) while among the last
+    three asked for (see the module docstring); read-only.
     """
     total = setup_transform(setting).matrix
     u = total[list(_DET_MODES), MODE_INDEX[AH]]
@@ -362,27 +377,31 @@ def coherent_outcome_table(
     m_a, m_b = detected_means(spec, detector)
     base = m_a * np.abs(u) ** 2 + m_b * np.abs(v) ** 2
     cross = 2.0 * math.sqrt(m_a * m_b) * (u * v.conj())
-    delta = 2.0 * math.pi * np.arange(PHASE_NODES) / PHASE_NODES
-    intensity = (
-        base[None, :]
-        + np.cos(delta)[:, None] * cross.real[None, :]
-        - np.sin(delta)[:, None] * cross.imag[None, :]
-    )
-    # fully destructive interference can round to -1e-19
-    np.maximum(intensity, 0.0, out=intensity)
-    means = intensity + detector.dark_rate
-    silent = np.exp(-means)
+    dark = detector.dark_rate
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
-        c_cols, d_cols = zip(*_CELL_COLUMNS)
-        per_node = means[:, c_cols] * means[:, d_cols] * silent.prod(axis=1, keepdims=True)
+        c_cols, d_cols = (list(cols) for cols in zip(*_CELL_COLUMNS))
+        mean = base + dark
+        pair = mean[c_cols] * mean[d_cols] + 0.5 * (cross[c_cols] * cross[d_cols].conj()).real
+        table = math.exp(-(m_a + m_b + 4.0 * dark)) * pair
     else:
-        fired = -np.expm1(-means)
+        delta = 2.0 * math.pi * np.arange(PHASE_NODES) / PHASE_NODES
+        intensity = (
+            base[None, :]
+            + np.cos(delta)[:, None] * cross.real[None, :]
+            - np.sin(delta)[:, None] * cross.imag[None, :]
+        )
+        # fully destructive interference can round to -1e-19
+        np.maximum(intensity, 0.0, out=intensity)
+        means = intensity + dark
+        fired, silent = -np.expm1(-means), np.exp(-means)
         patterns = np.where(_PATTERNS[None, :, :], fired[:, None, :], silent[:, None, :])
-        per_node = patterns.prod(axis=2)
-    # an exactly rounded sum keeps the average as accurate as the node values
-    return np.array([math.fsum(column) for column in per_node.T]) / PHASE_NODES
+        # an exactly rounded sum keeps the average as accurate as the node values
+        table = np.array([math.fsum(column) for column in patterns.prod(axis=2).T]) / PHASE_NODES
+    table.setflags(write=False)
+    return table
 
 
+@lru_cache(maxsize=3)
 def fock_outcome_table(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
 ) -> np.ndarray:
@@ -390,14 +409,16 @@ def fock_outcome_table(
 
     Each arm delivers a truncated, renormalized Poisson number of photons of
     its detected mean to the detectors, and |i_aH, j_bV> is read out through
-    its sector table.  Same layout as coherent_outcome_table.  Dark counts
-    are not modeled here; use the coherent model for that.
+    its sector table.  Same layout and memo as coherent_outcome_table.  Dark
+    counts are not modeled here; use the coherent model for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("dark counts are only modeled in the coherent sampler")
     w_a, w_b = (_truncated_weights(m, spec.n_max) for m in detected_means(spec, detector))
     sectors = _sector_table(setting, spec.n_max, detector.semantics)
-    return np.einsum("i,j,ijk->k", w_a / w_a.sum(), w_b / w_b.sum(), sectors)
+    table = np.einsum("i,j,ijk->k", w_a / w_a.sum(), w_b / w_b.sum(), sectors)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=128)

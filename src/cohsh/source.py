@@ -50,6 +50,8 @@ class SourceSpec:
     blocked: BlockedArm = BlockedArm.NONE
 
     def __post_init__(self) -> None:
+        # a str value compares equal to its enum member; see DetectorModel
+        object.__setattr__(self, "blocked", BlockedArm(self.blocked))
         if self.mu_a < 0 or self.mu_b < 0:
             raise ValueError("mean photon numbers must be non-negative")
         if self.n_max < 0:

@@ -3,8 +3,9 @@
 Nothing here shares code with the library's propagation path: the splitter
 expansion enumerates every per-photon routing explicitly, the correlation
 laws are closed forms derived by hand from projective measurement of the
-singlet and of the separable two-photon states, and the Poisson-readout
-sampler simulates the coherent-state experiment one trial at a time.
+singlet and of the separable two-photon states, the Poisson-readout
+sampler simulates the coherent-state experiment one trial at a time, and the
+phase-node rule averages the same readout over the beams' phase difference.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def oracle_bs_expand(state: FockBasisState) -> StateVector:
     Every photon is routed independently through all 2^n choices; no
     multinomial shortcut.  Scope-bounded to four photons.
     """
-    if state.total_photons > 4:
+    if sum(state.occ) > 4:
         raise ValueError("oracle expansion is bounded to 4 photons")
     occupations = state.occupations()
     if any(mode not in _BS_IMAGE for mode in occupations):
@@ -95,6 +96,59 @@ def oracle_unsubtracted_E(alpha: float, beta: float) -> float:
     return float((n[0] - n[1] - n[2] + n[3]) / n.sum())
 
 
+def _detector_fields(
+    amp_a: np.ndarray, amp_b: np.ndarray, alpha: float, beta: float
+) -> list[np.ndarray]:
+    """Fields at the c+, c-, d+, d- detectors for coherent amplitudes on aH and bV.
+
+    The amplitudes are routed through the splitter image above, and each
+    port's field is projected onto its analyzer axis ("+" along the analyzer
+    angle, "-" perpendicular to it).
+    """
+    field = {mode: np.zeros(len(amp_a), dtype=complex) for mode in (CH, CV, DH, DV)}
+    for mode, amplitude in ((AH, amp_a), (BV, amp_b)):
+        for out, coeff in _BS_IMAGE[mode]:
+            field[out] += coeff * amplitude
+    detectors = []
+    for h, v, angle in ((CH, CV, alpha), (DH, DV, beta)):
+        c, s = math.cos(angle), math.sin(angle)
+        detectors.append(c * field[h] + s * field[v])
+        detectors.append(-s * field[h] + c * field[v])
+    return detectors
+
+
+def oracle_exact_one_one_table(
+    mu_a: float,
+    mu_b: float,
+    alpha: float,
+    beta: float,
+    *,
+    efficiency: float,
+    dark_rate: float,
+    nodes: int = 64,
+) -> np.ndarray:
+    """Per-trial (++, +-, -+, --) probabilities of exact_one_one coherent readout.
+
+    Trapezoidal rule over the phase of beam b on ``nodes`` equispaced nodes
+    (only the phase difference matters).  At each node every detector reads
+    a Poisson count of mean efficiency * |field|^2 + dark_rate, and a cell
+    registers when its two detectors read one photon each and the other two
+    read none: m_c m_d exp(-m_c+ - m_c- - m_d+ - m_d-).
+    """
+    delta = 2.0 * math.pi * np.arange(nodes) / nodes
+    fields = _detector_fields(
+        np.full(nodes, math.sqrt(mu_a), dtype=complex),
+        math.sqrt(mu_b) * np.exp(1j * delta),
+        alpha,
+        beta,
+    )
+    means = [efficiency * np.abs(f) ** 2 + dark_rate for f in fields]
+    silent = np.exp(-(means[0] + means[1] + means[2] + means[3]))
+    return np.array(
+        [math.fsum(means[c] * means[d] * silent) / nodes for c in (0, 1) for d in (2, 3)]
+    )
+
+
 def oracle_poisson_readout_counts(
     mu_a: float,
     mu_b: float,
@@ -122,19 +176,12 @@ def oracle_poisson_readout_counts(
     1 - eta.
     """
     phases = 2.0 * math.pi * rng.random((trials, 2))
-    inputs = {
-        AH: math.sqrt(mu_a) * np.exp(1j * phases[:, 0]),
-        BV: math.sqrt(mu_b) * np.exp(1j * phases[:, 1]),
-    }
-    field = {mode: np.zeros(trials, dtype=complex) for mode in (CH, CV, DH, DV)}
-    for mode, amplitude in inputs.items():
-        for out, coeff in _BS_IMAGE[mode]:
-            field[out] += coeff * amplitude
-    detectors = []  # c+, c-, d+, d-
-    for h, v, angle in ((CH, CV, alpha), (DH, DV, beta)):
-        c, s = math.cos(angle), math.sin(angle)
-        detectors.append(c * field[h] + s * field[v])
-        detectors.append(-s * field[h] + c * field[v])
+    detectors = _detector_fields(
+        math.sqrt(mu_a) * np.exp(1j * phases[:, 0]),
+        math.sqrt(mu_b) * np.exp(1j * phases[:, 1]),
+        alpha,
+        beta,
+    )
     counts = np.stack(
         [rng.poisson(efficiency * np.abs(f) ** 2 + dark_rate) for f in detectors], axis=1
     )

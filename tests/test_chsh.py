@@ -402,6 +402,27 @@ def test_exact_drivers_call_exact_rates_once_per_setting(monkeypatch):
     assert len(rates) == 17
 
 
+@pytest.mark.parametrize(
+    "mode, builder",
+    [
+        ("mc_coherent", measurement.coherent_outcome_table),
+        ("mc_fock", measurement.fock_outcome_table),
+    ],
+)
+def test_montecarlo_drivers_build_each_table_once_per_run(mode, builder):
+    """Work-count guard: one table per (setting, configuration), whatever the repetitions."""
+    spec = SourceSpec(0.3, 0.3)
+    mc = dict(mode=mode, trials=20_000, seed=3)
+    # the second 3-repetition run is identical to the first and still builds its own
+    for repetitions in (1, 3, 3):
+        before = builder.cache_info().misses
+        run_chsh(spec, IDEAL, repetitions=repetitions, **mc)
+        assert builder.cache_info().misses - before == 12
+    before = builder.cache_info().misses
+    sweep_correlation(spec, IDEAL, np.linspace(0.0, math.pi, 5), repetitions=3, **mc)
+    assert builder.cache_info().misses - before == 3 * 5
+
+
 def test_repetitions_must_be_positive():
     spec = SourceSpec(0.05, 0.05)
     mc = dict(mode="mc_coherent", trials=1000, seed=3)

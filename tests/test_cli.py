@@ -68,6 +68,55 @@ def test_config_rejects_seeds_outside_64_bits(tmp_path, capsys):
     assert "seed must lie in" in capsys.readouterr().err
 
 
+_MC = dict(mode="mc_fock", seed=1)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(source={"mu_a": 0.05, "mu_b": 0.05, "n_max": 2.9}),
+        dict(_MC, trials=2.5),
+        dict(_MC, trials=float("inf")),
+        dict(_MC, repetitions=True),
+        dict(_MC, repetitions=2.5),
+        dict(mode="mc_fock", seed=7.9),
+        dict(_MC, workers=1.5),
+        dict(_MC, workers=False),
+        dict(angles={"sweep": {"start": 0.0, "stop": 1.0, "points": 3.7}}),
+    ],
+)
+def test_config_refuses_to_truncate_integer_keys(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match="whole number"):
+        load_config(path)
+    assert main(["chsh", "--config", path]) == 2
+    assert "whole number" in capsys.readouterr().err
+
+
+def test_config_accepts_whole_number_floats(tmp_path):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            source={"mu_a": 0.05, "mu_b": 0.05, "n_max": 3.0},
+            mode="mc_fock",
+            trials=1e7,
+            repetitions=2.0,
+            seed=7.0,
+            workers=1.0,
+            angles={"sweep": {"start": 0.0, "stop": 1.0, "points": 3.0}},
+        )
+    )
+    assert (cfg.source.n_max, cfg.trials, cfg.repetitions, cfg.seed, cfg.workers) == (
+        3,
+        10_000_000,
+        2,
+        7,
+        1,
+    )
+    assert all(type(v) is int for v in (cfg.source.n_max, cfg.trials, cfg.seed))
+    assert len(cfg.sweep) == 3
+
+
 def test_cli_invalid_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, mode="mc_fock")  # missing seed
     assert main(["chsh", "--config", path]) == 2

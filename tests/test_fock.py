@@ -51,7 +51,7 @@ def test_mode_universe():
 
 def test_basis_state_basics():
     s = basis_state(aH=1, bV=2)
-    assert s.total_photons == 3
+    assert sum(s.occ) == 3
     assert s.count(AH) == 1
     assert s.occupations() == {ModeLabel.parse("aH"): 1, ModeLabel.parse("bV"): 2}
     assert basis_state(aH=1, bV=2) == FockBasisState.from_occupations({"bV": 2, "aH": 1})

@@ -28,7 +28,11 @@ from cohsh.measurement import (
 )
 from cohsh.source import BlockedArm, SourceSpec, poisson_pmf, two_mode_input
 
-from oracle import oracle_poisson_readout_counts, oracle_sector_tables
+from oracle import (
+    oracle_exact_one_one_table,
+    oracle_poisson_readout_counts,
+    oracle_sector_tables,
+)
 from test_fock import psi_minus
 
 IDEAL = DetectorModel()
@@ -137,7 +141,7 @@ def test_exact_rates_two_photon_decomposition():
     recombined = sum(
         weight * (1.0 - discarded) * one_one_probs(state, transform)
         for weight, state in mixture.components
-        if state.items()[0][0].total_photons == 2
+        if sum(state.items()[0][0].occ) == 2
     )
     assert np.abs(table - recombined).max() < 1e-12
 
@@ -487,10 +491,57 @@ def test_threshold_quadrature_is_converged(monkeypatch):
     specs = (SourceSpec(0.1, 0.1), SourceSpec(10.0, 3.0))
     tables = [coherent_outcome_table(spec, setting, detector) for spec in specs]
     monkeypatch.setattr(measurement, "PHASE_NODES", 2 * measurement.PHASE_NODES)
+    coherent_outcome_table.cache_clear()  # else the memo returns the 64-node tables
     for spec, table in zip(specs, tables):
         doubled = coherent_outcome_table(spec, setting, detector)
         assert np.abs(doubled - table).max() <= 1e-15
         assert table.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_exact_one_one_closed_form_matches_the_phase_node_rule():
+    """The closed-form coherent table is the per-node phase average, to rounding."""
+    for efficiency, dark in ((1.0, 0.0), (0.6, 0.02), (0.35, 0.05)):
+        detector = DetectorModel(efficiency=efficiency, dark_rate=dark)
+        for arm in BlockedArm:
+            spec = SourceSpec(1.2, 0.3, blocked=arm)
+            for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(2.0, -0.4)):
+                table = coherent_outcome_table(spec, setting, detector)
+                reference = oracle_exact_one_one_table(
+                    spec.effective_mu_a,
+                    spec.effective_mu_b,
+                    setting.alpha,
+                    setting.beta,
+                    efficiency=efficiency,
+                    dark_rate=dark,
+                )
+                error = np.abs(table - reference).max()
+                assert error <= 1e-15 * reference.max(), (efficiency, arm, setting, error)
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_outcome_tables_are_read_only_and_built_once(semantics):
+    detector = DetectorModel(semantics=semantics)
+    setting = AnalyzerSetting(0.3, 1.1)
+    for builder in (fock_outcome_table, coherent_outcome_table):
+        table = builder(SourceSpec(0.1, 0.07), setting, detector)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        assert builder(SourceSpec(0.1, 0.07), setting, detector) is table
+
+
+def test_string_enum_values_build_the_same_tables():
+    """A str value equals its enum member, so it must mean the same to every builder."""
+    setting = AnalyzerSetting(0.3, 1.1)
+    by_name = DetectorModel(semantics="exact_one_one")
+    assert by_name.semantics is CoincidenceSemantics.EXACT_ONE_ONE
+    blocked = SourceSpec(0.1, 0.07, blocked="block_a")
+    assert blocked.blocked is BlockedArm.BLOCK_A
+    for spec in (SourceSpec(0.1, 0.07), blocked):
+        for builder in (fock_outcome_table, coherent_outcome_table):
+            named = builder(replace(spec, blocked=spec.blocked.value), setting, by_name)
+            builder.cache_clear()
+            assert np.array_equal(named, builder(spec, setting, IDEAL))
 
 
 @pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
