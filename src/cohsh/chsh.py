@@ -227,12 +227,6 @@ def fit_visibility(points: Iterable[tuple[float, float, float]]) -> VisibilityFi
     return VisibilityFit(eta, eta_error)
 
 
-def _one_table(spec, setting, detector, mode, trials, seed, cell_key):
-    rng = derive_rng(seed, *cell_key)
-    runner = run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
-    return runner(spec, setting, detector, trials, rng)
-
-
 def _common_normalization(
     tables: tuple[CountTable, CountTable, CountTable],
     spec: SourceSpec,
@@ -287,8 +281,9 @@ def measure_protocol(
             raise ValueError("Monte Carlo modes need trials >= 1")
         if seed is None:
             raise ValueError("Monte Carlo modes need a seed")
+        runner = run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
         tables = tuple(
-            _one_table(s, setting, detector, mode, trials, seed, cell_key + (cfg,))
+            runner(s, setting, detector, trials, derive_rng(seed, *cell_key, cfg))
             for cfg, s in enumerate(_blocked_variants(spec))
         )
     c_table, clamped = subtract_background(*_common_normalization(tables, spec, detector))

@@ -31,14 +31,7 @@ import numpy as np
 
 from . import __version__
 from .chsh import fit_visibility, measure_protocol, run_chsh, sweep_correlation
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    OutputFormat,
-    RunMode,
-    apply_overrides,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, OutputFormat, RunMode, load_config
 from .elements import apply, beam_splitter, compose, phase_shift, polarization_rotator
 from .fock import AH, Port, StateVector, basis_state, density_matrix
 from .measurement import (
@@ -109,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=math.pi / 4,
         metavar="RAD",
-        help="splitter transmissivity angle used by the battery "
-        "(anything other than pi/4 is a deliberate corruption and must fail)",
+        help="transmissivity angle of the splitter in the unitarity and "
+        "hom-cancellation checks; the other checks use the fixed recombiner, "
+        "so any angle other than pi/4 fails hom-cancellation alone",
     )
     p_val.set_defaults(func=_cmd_validate)
 
@@ -127,17 +121,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file, or the defaults, with the given flags laid over it.
+
+    The flags go through the config parser, so a flag value and a file value
+    meet the same checks; a run without flags is parsed once, at load.
+    """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    return apply_overrides(
-        cfg,
-        seed=args.seed,
-        mode=args.mode,
-        trials=args.trials,
-        repetitions=args.repetitions,
-        out_path=args.out,
-        out_format=args.format,
-        workers=args.workers,
-    )
+    top = {k: getattr(args, k) for k in ("seed", "mode", "trials", "repetitions", "workers")}
+    top = {k: v for k, v in top.items() if v is not None}
+    output = {k: v for k, v in (("path", args.out), ("format", args.format)) if v is not None}
+    if not (top or output):
+        return cfg
+    doc = cfg.to_json_dict()
+    doc.update(top)
+    doc["output"].update(output)
+    return ExperimentConfig.from_json_dict(doc)
+
+
+def _load_json_only(args: argparse.Namespace) -> ExperimentConfig:
+    """_load for the commands that write JSON and nothing else."""
+    cfg = _load(args)
+    if cfg.out_format is not OutputFormat.JSON:
+        raise ConfigError(f"the {args.command} command writes JSON only; use --format json")
+    return cfg
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -166,9 +172,7 @@ def _protocol_source(cfg: ExperimentConfig) -> SourceSpec:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if cfg.out_format is not OutputFormat.JSON:
-        raise ConfigError("the chsh command writes JSON; use --format json")
+    cfg = _load_json_only(args)
     run = run_chsh(
         _protocol_source(cfg),
         cfg.detector,
@@ -213,27 +217,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         repetitions=cfg.repetitions,
         seed=cfg.seed,
     )
+    columns = ("theta_radians", "e_mean", "e_std", "trials", "repetitions", "e_ideal")
+    rows = [
+        (p.theta, p.e_mean, p.e_std, p.trials, p.repetitions, -math.cos(2.0 * p.theta))
+        for p in points
+    ]
     if cfg.out_format is OutputFormat.JSON:
-        doc = [
-            {
-                "theta_radians": p.theta,
-                "e_mean": p.e_mean,
-                "e_std": p.e_std,
-                "trials": p.trials,
-                "repetitions": p.repetitions,
-                "e_ideal": -math.cos(2.0 * p.theta),
-            }
-            for p in points
-        ]
-        _emit(_json_text(doc), cfg.out_path)
+        text = _json_text([dict(zip(columns, row)) for row in rows])
     else:
-        rows = ["theta_radians,e_mean,e_std,trials,repetitions,e_ideal"]
-        for p in points:
-            rows.append(
-                f"{p.theta!r},{p.e_mean!r},{p.e_std!r},{p.trials},"
-                f"{p.repetitions},{-math.cos(2.0 * p.theta)!r}"
-            )
-        _emit("\n".join(rows) + "\n", cfg.out_path)
+        text = "\n".join([",".join(columns)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    _emit(text, cfg.out_path)
 
     out = _summary_stream(cfg.out_path)
     try:
@@ -314,7 +307,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_state(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load_json_only(args)
     mixture, discarded = two_mode_input(cfg.source)
     doc = {"discarded_weight": float(discarded), "components": mixture.to_json_obj()}
     _emit(_json_text(doc), cfg.out_path)
@@ -322,7 +315,7 @@ def _cmd_dump_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_transform(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load_json_only(args)
     setting = AnalyzerSetting(cfg.quad[0], cfg.quad[2])
     _emit(_json_text(setup_transform(setting).to_json_obj()), cfg.out_path)
     return 0

@@ -1,34 +1,33 @@
 """Experiment configuration: one flat JSON document.
 
-Schema (all keys optional, defaults shown):
+Keys, all optional:
 
-    {
-      "source":   {"mu_a": 0.05, "mu_b": 0.05, "n_max": 4, "blocked": "none"},
-      "detector": {"visibility_eta": 1.0, "efficiency": 1.0,
-                   "coincidence_semantics": "exact_one_one", "dark_rate": 0.0},
-      "mode": "exact",                  # exact | mc_fock | mc_coherent
-      "trials": 1000000,                # per configuration per setting
-      "repetitions": 10,
-      "angles": {
-        "quad": {"alpha": 0.0, "alpha_prime": 0.7853981633974483,
-                 "beta": 0.39269908169872414, "beta_prime": 1.1780972450961724},
-        "sweep": [0.0, ...]             # or {"start": s, "stop": e, "points": n}
-      },
-      "seed": 12345,                    # in [0, 2**64); required unless mode == "exact"
-      "workers": 1,                     # >= 1; changes neither speed nor results
-      "output": {"path": null, "format": "json"}
-    }
+    source       mu_a, mu_b, n_max, blocked (none | block_a | block_b)
+    detector     visibility_eta, efficiency, dark_rate,
+                 coincidence_semantics (exact_one_one | threshold)
+    mode         exact | mc_fock | mc_coherent
+    trials       per configuration per setting
+    repetitions
+    angles       quad: {alpha, alpha_prime, beta, beta_prime};
+                 sweep: [theta, ...] or {start, stop, points}
+    seed         in [0, 2**64); required unless mode is exact
+    workers      >= 1; changes neither speed nor results
+    output       path, format (json | csv)
 
+A key that is left out keeps the default of the dataclass field it sets;
+``ExperimentConfig().to_json_dict()`` is the document of defaults.
 Parsing is strict: unknown keys raise ConfigError, and so do fractional or
 boolean values of the integer keys (whole-number floats such as 1e7 pass).
 parse -> serialize -> parse is the identity (a sweep given as
-start/stop/points serializes as the explicit list it expands to).
+start/stop/points serializes as the explicit list it expands to), so
+command-line flags are laid over the serialized config and parsed by the
+same ``from_json_dict``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
@@ -112,18 +111,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
+        """Parse a config document; a key it leaves out keeps the dataclass default."""
         data = dict(data)
+        default = cls()
         try:
-            source = _parse_source(data.pop("source", {}))
-            detector = _parse_detector(data.pop("detector", {}))
-            mode = RunMode(data.pop("mode", "exact"))
-            trials = _whole("trials", data.pop("trials", 1_000_000))
-            repetitions = _whole("repetitions", data.pop("repetitions", 10))
-            quad, sweep = _parse_angles(data.pop("angles", {}))
-            seed = data.pop("seed", None)
+            source = _parse_source(data.pop("source", {}), default.source)
+            detector = _parse_detector(data.pop("detector", {}), default.detector)
+            mode = RunMode(data.pop("mode", default.mode))
+            trials = _whole("trials", data.pop("trials", default.trials))
+            repetitions = _whole("repetitions", data.pop("repetitions", default.repetitions))
+            quad, sweep = _parse_angles(data.pop("angles", {}), default)
+            seed = data.pop("seed", default.seed)
             seed = None if seed is None else _whole("seed", seed)
-            workers = _whole("workers", data.pop("workers", 1))
-            out_path, out_format = _parse_output(data.pop("output", {}))
+            workers = _whole("workers", data.pop("workers", default.workers))
+            out_path, out_format = _parse_output(data.pop("output", {}), default)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
         if data:
@@ -157,31 +158,33 @@ def _reject_unknown(section: str, data: Mapping, allowed: set[str]) -> None:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
 
 
-def _parse_source(data: Mapping) -> SourceSpec:
+def _parse_source(data: Mapping, default: SourceSpec) -> SourceSpec:
     _reject_unknown("source", data, {"mu_a", "mu_b", "n_max", "blocked"})
     return SourceSpec(
-        mu_a=float(data.get("mu_a", 0.05)),
-        mu_b=float(data.get("mu_b", 0.05)),
-        n_max=_whole("source.n_max", data.get("n_max", 4)),
-        blocked=BlockedArm(data.get("blocked", "none")),
+        mu_a=float(data.get("mu_a", default.mu_a)),
+        mu_b=float(data.get("mu_b", default.mu_b)),
+        n_max=_whole("source.n_max", data.get("n_max", default.n_max)),
+        blocked=BlockedArm(data.get("blocked", default.blocked)),
     )
 
 
-def _parse_detector(data: Mapping) -> DetectorModel:
+def _parse_detector(data: Mapping, default: DetectorModel) -> DetectorModel:
     _reject_unknown(
         "detector", data, {"visibility_eta", "efficiency", "coincidence_semantics", "dark_rate"}
     )
     return DetectorModel(
-        visibility_eta=float(data.get("visibility_eta", 1.0)),
-        efficiency=float(data.get("efficiency", 1.0)),
-        semantics=CoincidenceSemantics(data.get("coincidence_semantics", "exact_one_one")),
-        dark_rate=float(data.get("dark_rate", 0.0)),
+        visibility_eta=float(data.get("visibility_eta", default.visibility_eta)),
+        efficiency=float(data.get("efficiency", default.efficiency)),
+        semantics=CoincidenceSemantics(data.get("coincidence_semantics", default.semantics)),
+        dark_rate=float(data.get("dark_rate", default.dark_rate)),
     )
 
 
-def _parse_angles(data: Mapping) -> tuple[tuple[float, float, float, float], tuple[float, ...] | None]:
+def _parse_angles(
+    data: Mapping, default: ExperimentConfig
+) -> tuple[tuple[float, float, float, float], tuple[float, ...] | None]:
     _reject_unknown("angles", data, {"quad", "sweep"})
-    quad = BELL_TEST_ANGLES
+    quad = default.quad
     if "quad" in data:
         q = data["quad"]
         _reject_unknown("angles.quad", q, {"alpha", "alpha_prime", "beta", "beta_prime"})
@@ -191,7 +194,7 @@ def _parse_angles(data: Mapping) -> tuple[tuple[float, float, float, float], tup
             float(q["beta"]),
             float(q["beta_prime"]),
         )
-    sweep: tuple[float, ...] | None = None
+    sweep = default.sweep
     if "sweep" in data:
         grid = data["sweep"]
         if isinstance(grid, Mapping):
@@ -210,10 +213,11 @@ def _parse_angles(data: Mapping) -> tuple[tuple[float, float, float, float], tup
     return quad, sweep
 
 
-def _parse_output(data: Mapping) -> tuple[str | None, OutputFormat]:
+def _parse_output(data: Mapping, default: ExperimentConfig) -> tuple[str | None, OutputFormat]:
     _reject_unknown("output", data, {"path", "format"})
-    path = data.get("path")
-    return (None if path is None else str(path)), OutputFormat(data.get("format", "json"))
+    path = data.get("path", default.out_path)
+    out_format = OutputFormat(data.get("format", default.out_format))
+    return (None if path is None else str(path)), out_format
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -227,36 +231,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     return ExperimentConfig.from_json_dict(data)
-
-
-def apply_overrides(
-    cfg: ExperimentConfig,
-    *,
-    seed: int | None = None,
-    mode: str | None = None,
-    trials: int | None = None,
-    repetitions: int | None = None,
-    out_path: str | None = None,
-    out_format: str | None = None,
-    workers: int | None = None,
-) -> ExperimentConfig:
-    """Command-line flag overrides on top of a parsed config."""
-    updates: dict[str, Any] = {}
-    if seed is not None:
-        updates["seed"] = _whole("seed", seed)
-    if mode is not None:
-        updates["mode"] = RunMode(mode)
-    if trials is not None:
-        updates["trials"] = _whole("trials", trials)
-    if repetitions is not None:
-        updates["repetitions"] = _whole("repetitions", repetitions)
-    if out_path is not None:
-        updates["out_path"] = out_path
-    if out_format is not None:
-        updates["out_format"] = OutputFormat(out_format)
-    if workers is not None:
-        updates["workers"] = _whole("workers", workers)
-    try:
-        return replace(cfg, **updates) if updates else cfg
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

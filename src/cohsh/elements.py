@@ -15,10 +15,10 @@ The beam splitter uses the symmetric convention
     x^dag -> cos(t) ox^dag + i sin(t) oy^dag
     y^dag -> i sin(t) ox^dag + cos(t) oy^dag
 
-with t the transmissivity angle (t = pi/4 is the balanced 50:50 case).  By
-default the splitter routes the recombination inputs onto their partner
-output ports (a -> c/d, b -> c/d); the completion on the output columns keeps
-the full matrix unitary.  The overall phase of the two-photon outputs is a
+with t the transmissivity angle (t = pi/4 is the balanced 50:50 case).  The
+splitter routes each input onto its partner output port (a -> c, b -> d,
+c -> a, d -> b); the completion on the output columns keeps the full matrix
+unitary.  The overall phase of the two-photon outputs is a
 convention of this choice and is fixed here once and for all.
 """
 
@@ -83,10 +83,10 @@ class ModeTransform:
             for column in self.matrix.T.tolist()
         )
 
-    def require_unitary(self, tol: float = UNITARY_TOL) -> None:
+    def require_unitary(self) -> None:
         defect = self._defect
-        if defect > tol:
-            raise ValueError(f"transform is not unitary (defect {defect:.3e} > {tol:g})")
+        if defect > UNITARY_TOL:
+            raise ValueError(f"transform is not unitary (defect {defect:.3e} > {UNITARY_TOL:g})")
 
     def to_json_obj(self) -> dict:
         """Row-major complex matrix with the explicit mode-label order."""
@@ -99,28 +99,18 @@ class ModeTransform:
 
 
 def beam_splitter(
-    port_x: Port,
-    port_y: Port,
-    transmissivity_angle: float = math.pi / 4,
-    *,
-    output_x: Port | None = None,
-    output_y: Port | None = None,
+    port_x: Port, port_y: Port, transmissivity_angle: float = math.pi / 4
 ) -> ModeTransform:
-    """Beam splitter mixing two input ports onto two output ports.
+    """Beam splitter mixing two input ports onto their partner output ports.
 
-    Acts identically on the H and V polarizations of each port.  Outputs
-    default to the canonical partner ports (a,b -> c,d); passing the input
-    ports themselves gives an in-place mixer.
+    Acts identically on the H and V polarizations of each port.  Each input
+    leaves by its partner port (a <-> c, b <-> d): a and b mix onto c and d,
+    and the partner pairs (a, c) and (b, d) mix in place.
     """
     if port_x == port_y:
         raise ValueError("beam splitter needs two distinct ports")
-    out_x = _PARTNER[port_x] if output_x is None else output_x
-    out_y = _PARTNER[port_y] if output_y is None else output_y
-    if out_x == out_y:
-        raise ValueError("beam splitter outputs must be distinct")
+    out_x, out_y = _PARTNER[port_x], _PARTNER[port_y]
     inputs, outputs = {port_x, port_y}, {out_x, out_y}
-    if outputs != inputs and (outputs & inputs):
-        raise ValueError("outputs must equal the inputs or be disjoint from them")
 
     t = math.cos(transmissivity_angle)
     r = 1j * math.sin(transmissivity_angle)

@@ -147,8 +147,8 @@ class StateVector:
         return new
 
     @classmethod
-    def from_basis(cls, state: FockBasisState, amplitude: complex = 1.0) -> "StateVector":
-        return cls({state: amplitude})
+    def from_basis(cls, state: FockBasisState) -> "StateVector":
+        return cls({state: 1.0})
 
     def items(self) -> list[tuple[FockBasisState, complex]]:
         """Terms sorted by the canonical basis-state order."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,78 @@ def test_config_rejects_seeds_outside_64_bits(tmp_path, capsys):
             load_config(write_config(tmp_path, mode="mc_fock", seed=seed))
     assert main(["chsh", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
     assert "seed must lie in" in capsys.readouterr().err
+
+
+_FLAG_KEYS = [
+    (["--seed", "5"], "seed", 5),
+    (["--mode", "mc_coherent"], "mode", "mc_coherent"),
+    (["--trials", "123"], "trials", 123),
+    (["--repetitions", "3"], "repetitions", 3),
+    (["--workers", "2"], "workers", 2),
+    (["--out", "result.json"], "output.path", "result.json"),
+    (["--format", "csv"], "output.format", "csv"),
+]
+
+
+@pytest.mark.parametrize("flags, key, value", _FLAG_KEYS)
+def test_cli_flag_lands_on_its_config_key(tmp_path, flags, key, value):
+    path = write_config(tmp_path, seed=1)
+    cfg = cli._load(build_parser().parse_args(["sweep", "--config", path, *flags]))
+    expected = load_config(path).to_json_dict()
+    *section, name = key.split(".")
+    (expected[section[0]] if section else expected)[name] = value
+    assert cfg.to_json_dict() == expected
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (["--repetitions", "0"], {"repetitions": 0}),
+        (["--workers", "0"], {"workers": 0}),
+        (
+            ["--mode", "mc_fock", "--seed", "1", "--trials", "0"],
+            {"mode": "mc_fock", "seed": 1, "trials": 0},
+        ),
+    ],
+)
+def test_cli_refused_flag_value_exits_2_with_the_parser_message(capsys, flags, doc):
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig.from_json_dict(doc)
+    assert main(["chsh", *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+
+
+def test_readme_config_block_shows_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block, encoding="utf-8")
+    parsed = load_config(path).to_json_dict()  # a renamed key fails here
+    shown = json.loads(block)
+    defaults = ExperimentConfig().to_json_dict()
+    for doc in (parsed, shown):
+        del doc["seed"], doc["angles"]["sweep"]
+    del defaults["seed"]
+    assert parsed == defaults
+    assert shown == defaults  # every key written out, at its default
+
+
+def test_cli_parses_a_run_without_flags_once(tmp_path, monkeypatch):
+    parse = ExperimentConfig.from_json_dict.__func__
+    calls = []
+
+    def counted(cls, data):
+        calls.append(data)
+        return parse(cls, data)
+
+    monkeypatch.setattr(ExperimentConfig, "from_json_dict", classmethod(counted))
+    path = write_config(tmp_path, output={"path": str(tmp_path / "transform.json")})
+    assert main(["dump-transform", "--config", path]) == 0
+    assert len(calls) == 1
+    assert main(["dump-transform", "--config", path, "--seed", "3"]) == 0
+    assert len(calls) == 3  # load, then the flags laid over the loaded config
+    assert calls[2]["seed"] == 3
 
 
 _MC = dict(mode="mc_fock", seed=1)
@@ -186,6 +259,28 @@ def test_cli_sweep_exact_csv(tmp_path):
     assert len(lines) == 18
 
 
+def test_cli_sweep_json_and_csv_carry_the_same_values(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        mode="mc_coherent",
+        trials=20_000,
+        repetitions=2,
+        seed=4242,
+        angles={"sweep": [0.0, 0.5, 1.3]},
+    )
+    as_json, as_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(as_json)]) == 0
+    assert main(["sweep", "--config", path, "--out", str(as_csv), "--format", "csv"]) == 0
+    capsys.readouterr()
+    header, *lines = as_csv.read_text().splitlines()
+    columns = header.split(",")
+    from_csv = [[float(v) for v in line.split(",")] for line in lines]
+    doc = json.loads(as_json.read_text())
+    assert all(set(row) == set(columns) for row in doc)
+    assert [[row[c] for c in columns] for row in doc] == from_csv
+    assert len(from_csv) == 3 and all(row[2] > 0.0 for row in from_csv)  # e_std
+
+
 def test_cli_sweep_missing_grid_errors(tmp_path, capsys):
     assert main(["sweep", "--config", write_config(tmp_path)]) == 2
     assert "sweep" in capsys.readouterr().err
@@ -246,6 +341,15 @@ def test_cli_validate_corrupted_splitter_fails(capsys):
     assert "FAIL hom-cancellation" in out
 
 
+def test_cli_validate_bs_angle_fails_hom_cancellation_alone(capsys):
+    assert main(["validate", "--bs-angle", "0.7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL hom-cancellation"
+    ]
+    assert lines[-1] == "4/5 checks passed"
+
+
 def test_validation_checks_details():
     checks = dict(
         (name, (ok, detail)) for name, ok, detail in validation_checks()
@@ -296,6 +400,16 @@ def test_cli_dump_transform(tmp_path):
     )
     assert matrix.shape == (8, 8)
     assert np.abs(matrix.conj().T @ matrix - np.eye(8)).max() < 1e-12
+
+
+@pytest.mark.parametrize("command", ["chsh", "dump-state", "dump-transform"])
+def test_cli_json_only_command_refuses_csv(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: the {command} command writes JSON only; use --format json\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_builds_its_parser_once_per_process(tmp_path):
