@@ -57,6 +57,7 @@ from .measurement import (
     analyzer_transform,
     derive_rng,
     exact_rates,
+    protocol,
     run_montecarlo_coherent,
     run_montecarlo_fock,
 )

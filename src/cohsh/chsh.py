@@ -1,12 +1,15 @@
 """Background subtraction, correlation functions, and CHSH statistics.
 
-The three-configuration protocol measures each analyzer setting three times:
-both arms open, arm a blocked, arm b blocked.  Entrywise subtraction
+The three-configuration protocol (measurement.protocol) measures each
+analyzer setting three times: both arms open, arm a blocked, arm b blocked.
+The entrywise weighted sum
 
-    C_ij = N_ij(mu_a, mu_b) - N_ij(mu_a, 0) - N_ij(0, mu_b)
+    C_ij = N_ij(mu_a, mu_b) + w_a N_ij(0, mu_b) + w_b N_ij(mu_a, 0),
 
-removes the separable two-photon contributions and leaves the singlet-sourced
-coincidences, from which the normalized correlation
+with w = -exp(-m) of the blocked arm's detected mean m under exact_one_one
+and w = -1 under threshold, removes the separable two-photon contributions
+and leaves the singlet-sourced coincidences, from which the normalized
+correlation
 
     E = (C_pp - C_pm - C_mp + C_mm) / (C_pp + C_pm + C_mp + C_mm)
 
@@ -35,17 +38,15 @@ import numpy as np
 
 from .measurement import (
     AnalyzerSetting,
-    CoincidenceSemantics,
     CountTable,
     DetectorModel,
-    _blocked_variants,
     derive_rng,
-    detected_means,
     exact_rates,
+    protocol,
     run_montecarlo_coherent,
     run_montecarlo_fock,
 )
-from .source import BlockedArm, SourceSpec
+from .source import SourceSpec
 
 #: (alpha, alpha', beta, beta') maximizing the singlet CHSH violation.
 BELL_TEST_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
@@ -110,34 +111,30 @@ def _check_meta(field: str, *values) -> None:
 
 
 def subtract_background(
-    full: CountTable, blocked_a: CountTable, blocked_b: CountTable
+    tables: Sequence[CountTable], runs: Sequence[tuple[SourceSpec, float]]
 ) -> tuple[CountTable, float]:
-    """Entrywise C = N(full) - N(arm a blocked) - N(arm b blocked).
+    """Entrywise C = sum_k w_k N_k over the runs of measurement.protocol.
 
-    The three tables must share settings and normalization (see
-    _common_normalization).  Negative entries, which can arise from
-    statistical fluctuation, are clamped to zero; the clamped magnitude is
-    returned as a diagnostic.
+    Table k is the run of configuration k; all share settings, means and
+    trial numbers.  Negative entries, which can arise from statistical
+    fluctuation, are clamped to zero; the clamped magnitude is returned as a
+    diagnostic.
     """
-    _check_meta("alpha", full.alpha, blocked_a.alpha, blocked_b.alpha)
-    _check_meta("beta", full.beta, blocked_a.beta, blocked_b.beta)
-    _check_meta("mu_a", full.mu_a, blocked_a.mu_a, blocked_b.mu_a)
-    _check_meta("mu_b", full.mu_b, blocked_a.mu_b, blocked_b.mu_b)
-    trials = {t.trials for t in (full, blocked_a, blocked_b) if t.trials > 0}
+    if len(tables) != len(runs):
+        raise ValueError(f"{len(tables)} tables for a protocol of {len(runs)} runs")
+    for field in ("alpha", "beta", "mu_a", "mu_b"):
+        _check_meta(field, *(getattr(t, field) for t in tables))
+    trials = {t.trials for t in tables if t.trials > 0}
     if len(trials) > 1:
         raise ValueError(f"count tables have unequal trial numbers: {sorted(trials)}")
-    for table, expected in (
-        (full, BlockedArm.NONE),
-        (blocked_a, BlockedArm.BLOCK_A),
-        (blocked_b, BlockedArm.BLOCK_B),
-    ):
-        if table.blocked is not None and table.blocked is not expected:
+    for table, (config, _) in zip(tables, runs):
+        if table.blocked is not None and table.blocked is not config.blocked:
             raise ValueError(
-                f"table marked {table.blocked.value} used in the {expected.value} slot"
+                f"table marked {table.blocked.value} used in the {config.blocked.value} slot"
             )
-    raw = full.values() - blocked_a.values() - blocked_b.values()
+    raw = sum(weight * table.values() for table, (_, weight) in zip(tables, runs))
     clamped = float(-raw[raw < 0].sum())
-    return full.with_values(np.clip(raw, 0.0, None)), clamped
+    return tables[0].with_values(np.clip(raw, 0.0, None)), clamped
 
 
 def correlation_E(c_table: CountTable) -> SubtractedCorrelation:
@@ -227,33 +224,6 @@ def fit_visibility(points: Iterable[tuple[float, float, float]]) -> VisibilityFi
     return VisibilityFit(eta, eta_error)
 
 
-def _common_normalization(
-    tables: tuple[CountTable, CountTable, CountTable],
-    spec: SourceSpec,
-    detector: DetectorModel,
-) -> tuple[CountTable, CountTable, CountTable]:
-    """Bring the blocked runs into the full run's normalization, in every mode.
-
-    Every table is per trial: exact-mode probabilities, or Monte Carlo counts
-    of equal trial numbers.  An exclusive one-photon-per-output window vetoes
-    events in which the other arm contributed photons, so a blocked run
-    overcounts relative to the full run by exactly the missing arm's vacuum
-    factor.  Rescaling the blocked tables by exp(-m), m the missing arm's
-    detected mean, makes the entrywise subtraction remove the separable
-    background exactly (exact mode) or without bias (Monte Carlo).  Threshold
-    counting has no veto, so its tables pass through unchanged.
-    """
-    full, blocked_a, blocked_b = tables
-    if detector.semantics is not CoincidenceSemantics.EXACT_ONE_ONE:
-        return tables
-    m_a, m_b = detected_means(spec, detector)
-    return (
-        full,
-        blocked_a.with_values(blocked_a.values() * math.exp(-m_a)),
-        blocked_b.with_values(blocked_b.values() * math.exp(-m_b)),
-    )
-
-
 def measure_protocol(
     spec: SourceSpec,
     setting: AnalyzerSetting,
@@ -262,18 +232,18 @@ def measure_protocol(
     trials: int = 0,
     seed: int | None = None,
     cell_key: tuple[int, ...] = (),
-) -> tuple[SubtractedCorrelation, tuple[CountTable, CountTable, CountTable], float]:
-    """One three-configuration run at one setting.
+) -> tuple[SubtractedCorrelation, tuple[CountTable, ...], float]:
+    """One run of the protocol (measurement.protocol) at one setting.
 
-    Returns the subtracted correlation, the raw (full, blocked-a, blocked-b)
-    tables, and the clamp diagnostic; exact mode gets all three from one
-    exact_rates call.  All three configurations use the same trial count; in
-    Monte Carlo modes each configuration gets its own derived stream keyed by
-    (cell_key, configuration index).  In every mode the blocked tables are
-    rescaled to the full-run normalization before subtraction (see
-    _common_normalization).
+    Returns the subtracted correlation, the raw table of each configuration
+    in protocol order, and the clamp diagnostic; exact mode gets every table
+    from one exact_rates call.  All configurations use the same trial count;
+    in Monte Carlo modes each configuration gets its own derived stream keyed
+    by (cell_key, configuration index).  In every mode the tables enter the
+    subtraction with the protocol's weights.
     """
     mode = RunMode(mode)
+    runs = protocol(spec, detector)
     if mode is RunMode.EXACT:
         tables = exact_rates(spec, setting, detector)
     else:
@@ -283,10 +253,10 @@ def measure_protocol(
             raise ValueError("Monte Carlo modes need a seed")
         runner = run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
         tables = tuple(
-            runner(s, setting, detector, trials, derive_rng(seed, *cell_key, cfg))
-            for cfg, s in enumerate(_blocked_variants(spec))
+            runner(config, setting, detector, trials, derive_rng(seed, *cell_key, k))
+            for k, (config, _) in enumerate(runs)
         )
-    c_table, clamped = subtract_background(*_common_normalization(tables, spec, detector))
+    c_table, clamped = subtract_background(tables, runs)
     return correlation_E(c_table), tables, clamped
 
 

@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -41,6 +40,7 @@ from .measurement import (
     analyzer_transform,
     coherent_outcome_table,
     exact_rates,
+    protocol,
     setup_transform,
 )
 from .source import (
@@ -277,8 +277,8 @@ def validation_checks(bs_angle: float = math.pi / 4) -> list[tuple[str, bool, st
     setting = AnalyzerSetting(0.0, math.pi / 8)
     detector = DetectorModel()
     residual = 0.0
-    for table in exact_rates(spec, setting, detector):
-        coherent = coherent_outcome_table(replace(spec, blocked=table.blocked), setting, detector)
+    for table, (config, _) in zip(exact_rates(spec, setting, detector), protocol(spec, detector)):
+        coherent = coherent_outcome_table(config, setting, detector)
         residual = max(residual, float(np.abs(table.values() - coherent).max() / coherent.max()))
     checks.append(
         (

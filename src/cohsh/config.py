@@ -16,8 +16,11 @@ Keys, all optional:
 
 A key that is left out keeps the default of the dataclass field it sets;
 ``ExperimentConfig().to_json_dict()`` is the document of defaults.
-Parsing is strict: unknown keys raise ConfigError, and so do fractional or
-boolean values of the integer keys (whole-number floats such as 1e7 pass).
+Parsing is strict: every section must be a JSON object, and unknown keys,
+missing required keys (all four quad angles; start, stop and points of a
+sweep object) and numeric values that are not finite JSON numbers raise
+ConfigError naming the section or key.  So do fractional or boolean values
+of the integer keys (whole-number floats such as 1e7 pass).
 parse -> serialize -> parse is the identity (a sweep given as
 start/stop/points serializes as the explicit list it expands to), so
 command-line flags are laid over the serialized config and parsed by the
@@ -27,6 +30,7 @@ same ``from_json_dict``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -125,7 +129,7 @@ class ExperimentConfig:
             seed = None if seed is None else _whole("seed", seed)
             workers = _whole("workers", data.pop("workers", default.workers))
             out_path, out_format = _parse_output(data.pop("output", {}), default)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         if data:
             raise ConfigError(f"unknown config keys: {sorted(data)}")
@@ -144,77 +148,92 @@ class ExperimentConfig:
         )
 
 
+def _number(key: str, value: Any) -> float:
+    """A real config value: a finite JSON number, never a string, boolean or null."""
+    # the comparison is exact for ints, so it also refuses ints beyond float range
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _whole(key: str, value: Any) -> int:
     """An integer config value.  Whole-number floats such as 1e7 are accepted;
-    fractional, infinite or boolean values are refused, never truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    fractional, infinite, boolean or non-numeric values are refused, never
+    truncated or converted."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
 
-def _reject_unknown(section: str, data: Mapping, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+def _section(name: str, data: Any, keys: set[str], complete: bool = False) -> Mapping:
+    """A config section: a JSON object with no key outside ``keys``, and with
+    all of them if ``complete``."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{name} must be a JSON object, got {data!r}")
+    if unknown := set(data) - keys:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    if complete and (missing := keys - set(data)):
+        raise ConfigError(f"missing keys in {name}: {sorted(missing)}")
+    return data
 
 
-def _parse_source(data: Mapping, default: SourceSpec) -> SourceSpec:
-    _reject_unknown("source", data, {"mu_a", "mu_b", "n_max", "blocked"})
+def _parse_source(data: Any, default: SourceSpec) -> SourceSpec:
+    data = _section("source", data, {"mu_a", "mu_b", "n_max", "blocked"})
     return SourceSpec(
-        mu_a=float(data.get("mu_a", default.mu_a)),
-        mu_b=float(data.get("mu_b", default.mu_b)),
+        mu_a=_number("source.mu_a", data.get("mu_a", default.mu_a)),
+        mu_b=_number("source.mu_b", data.get("mu_b", default.mu_b)),
         n_max=_whole("source.n_max", data.get("n_max", default.n_max)),
         blocked=BlockedArm(data.get("blocked", default.blocked)),
     )
 
 
-def _parse_detector(data: Mapping, default: DetectorModel) -> DetectorModel:
-    _reject_unknown(
-        "detector", data, {"visibility_eta", "efficiency", "coincidence_semantics", "dark_rate"}
-    )
+def _parse_detector(data: Any, default: DetectorModel) -> DetectorModel:
+    keys = {"visibility_eta", "efficiency", "coincidence_semantics", "dark_rate"}
+    data = _section("detector", data, keys)
     return DetectorModel(
-        visibility_eta=float(data.get("visibility_eta", default.visibility_eta)),
-        efficiency=float(data.get("efficiency", default.efficiency)),
+        visibility_eta=_number(
+            "detector.visibility_eta", data.get("visibility_eta", default.visibility_eta)
+        ),
+        efficiency=_number("detector.efficiency", data.get("efficiency", default.efficiency)),
         semantics=CoincidenceSemantics(data.get("coincidence_semantics", default.semantics)),
-        dark_rate=float(data.get("dark_rate", default.dark_rate)),
+        dark_rate=_number("detector.dark_rate", data.get("dark_rate", default.dark_rate)),
     )
+
+
+_QUAD_KEYS = ("alpha", "alpha_prime", "beta", "beta_prime")
 
 
 def _parse_angles(
-    data: Mapping, default: ExperimentConfig
+    data: Any, default: ExperimentConfig
 ) -> tuple[tuple[float, float, float, float], tuple[float, ...] | None]:
-    _reject_unknown("angles", data, {"quad", "sweep"})
+    data = _section("angles", data, {"quad", "sweep"})
     quad = default.quad
     if "quad" in data:
-        q = data["quad"]
-        _reject_unknown("angles.quad", q, {"alpha", "alpha_prime", "beta", "beta_prime"})
-        quad = (
-            float(q["alpha"]),
-            float(q["alpha_prime"]),
-            float(q["beta"]),
-            float(q["beta_prime"]),
-        )
+        q = _section("angles.quad", data["quad"], set(_QUAD_KEYS), complete=True)
+        quad = tuple(_number(f"angles.quad.{key}", q[key]) for key in _QUAD_KEYS)
     sweep = default.sweep
     if "sweep" in data:
         grid = data["sweep"]
-        if isinstance(grid, Mapping):
-            _reject_unknown("angles.sweep", grid, {"start", "stop", "points"})
+        if isinstance(grid, list):
+            sweep = tuple(_number(f"angles.sweep[{k}]", t) for k, t in enumerate(grid))
+            if not sweep:
+                raise ConfigError("sweep grid is empty")
+        elif isinstance(grid, Mapping):
+            grid = _section("angles.sweep", grid, {"start", "stop", "points"}, complete=True)
             points = _whole("angles.sweep.points", grid["points"])
             if points < 1:
                 raise ConfigError("sweep needs at least one point")
-            sweep = tuple(
-                float(t)
-                for t in np.linspace(float(grid["start"]), float(grid["stop"]), points)
-            )
+            start, stop = (_number(f"angles.sweep.{k}", grid[k]) for k in ("start", "stop"))
+            sweep = tuple(float(t) for t in np.linspace(start, stop, points))
         else:
-            sweep = tuple(float(t) for t in grid)
-            if not sweep:
-                raise ConfigError("sweep grid is empty")
+            raise ConfigError(
+                f"angles.sweep must be a list of angles or a JSON object, got {grid!r}"
+            )
     return quad, sweep
 
 
-def _parse_output(data: Mapping, default: ExperimentConfig) -> tuple[str | None, OutputFormat]:
-    _reject_unknown("output", data, {"path", "format"})
+def _parse_output(data: Any, default: ExperimentConfig) -> tuple[str | None, OutputFormat]:
+    data = _section("output", data, {"path", "format"})
     path = data.get("path", default.out_path)
     out_format = OutputFormat(data.get("format", default.out_format))
     return (None if path is None else str(path)), out_format

@@ -17,9 +17,9 @@ two-photon decomposition
     N_ij = e^{-m_a-m_b} [m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)],
 
 which equals the coherent-amplitude table; threshold tables equal it up to
-the Poisson tail beyond n_max.  How the blocked runs are brought to the full
-run's normalization before subtraction is decided in one place for every
-mode, chsh._common_normalization.
+the Poisson tail beyond n_max.  The configurations of the background
+subtraction, and the weight each table enters it with, are defined in one
+place for every mode: protocol.
 
 Detector model.  Visibility eta mixes the ideal outcome distribution with a
 uniform relabeling of coincidences (E_measured = eta * E_ideal exactly).
@@ -35,10 +35,10 @@ multinomial over p-bar, the per-trial outcome distribution averaged over the
 beam phases.  Two independent builders compute p-bar: fock_outcome_table
 from Fock propagation of photon-number inputs, coherent_outcome_table from
 the Poisson readout of coherent amplitudes.  One sampler turns either into
-counts.  Each builder keeps its last three tables, read-only: the protocol
-draws a setting's three configurations one repetition after another, so every
-repetition samples from the tables built for the first, and the next setting
-rebuilds them.
+counts.  Each builder keeps one table per protocol configuration, read-only:
+the protocol draws a setting's configurations one repetition after another,
+so every repetition samples from the tables built for the first, and the next
+setting rebuilds them.
 
 Monte Carlo determinism.  Every (setting, configuration, repetition) cell
 draws from its own SeedSequence-derived stream (derive_rng) and takes one
@@ -280,21 +280,35 @@ def _finalize_cells(outcomes: np.ndarray, detector: DetectorModel) -> np.ndarray
     return eta * cells + (1.0 - eta) / 4.0 * cells.sum()
 
 
-def _blocked_variants(spec: SourceSpec) -> tuple[SourceSpec, SourceSpec, SourceSpec]:
-    """The protocol's three configurations: both arms open, a blocked, b blocked."""
+def protocol(spec: SourceSpec, detector: DetectorModel) -> tuple[tuple[SourceSpec, float], ...]:
+    """The background-subtraction protocol of an unblocked spec: (configuration, weight) pairs.
+
+    The configurations are both arms open, arm a blocked and arm b blocked,
+    in that order, and the subtracted table is C = sum_k w_k N_k over their
+    tables.  Every table is per trial: exact-mode probabilities, or Monte
+    Carlo counts of equal trial numbers.  An exclusive one-photon-per-output
+    window vetoes events in which the other arm contributed photons, so a
+    blocked run overcounts relative to the full run by exactly the missing
+    arm's vacuum factor.  Weighting the blocked tables by -exp(-m), m the
+    missing arm's detected mean, makes the sum remove the separable
+    background exactly (exact mode) or without bias (Monte Carlo).
+    Threshold counting has no veto, so its blocked tables enter with -1.
+    """
     if spec.blocked is not BlockedArm.NONE:
         raise ValueError("protocol runs require an unblocked source spec")
+    vetoed = detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE
+    w_a, w_b = (-math.exp(-m) if vetoed else -1.0 for m in detected_means(spec, detector))
     return (
-        spec,
-        replace(spec, blocked=BlockedArm.BLOCK_A),
-        replace(spec, blocked=BlockedArm.BLOCK_B),
+        (spec, 1.0),
+        (replace(spec, blocked=BlockedArm.BLOCK_A), w_a),
+        (replace(spec, blocked=BlockedArm.BLOCK_B), w_b),
     )
 
 
 def exact_rates(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
-) -> tuple[CountTable, CountTable, CountTable]:
-    """Per-trial outcome probabilities: (full, arm a blocked, arm b blocked) of an unblocked spec.
+) -> tuple[CountTable, ...]:
+    """Per-trial outcome probabilities of each configuration of an unblocked spec's protocol.
 
     Each sector that can register is propagated once, and each configuration
     weights its row by the Poisson weight of its own detected means (see the
@@ -304,7 +318,7 @@ def exact_rates(
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
-    variants = _blocked_variants(spec)
+    runs = protocol(spec, detector)
     n_max = spec.n_max
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
         n_max = min(n_max, 2)
@@ -317,7 +331,7 @@ def exact_rates(
         if _can_register(i, j, detector.semantics):
             rows.append((i, j, _outcome_probs(component, transform, detector.semantics)))
     tables = []
-    for variant in variants:
+    for variant, _ in runs:
         m_a, m_b = detected_means(variant, detector)
         outcomes = _empty_outcomes(detector.semantics)
         for i, j, probs in rows:
@@ -347,7 +361,7 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return np.random.default_rng(int(rng))
 
 
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=len(BlockedArm))
 def coherent_outcome_table(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
 ) -> np.ndarray:
@@ -368,8 +382,8 @@ def coherent_outcome_table(
         exp(-(m_a + m_b + 4 dark)) [(b_c + dark)(b_d + dark) + Re(x_c conj(x_d)) / 2].
 
     Threshold averages by the trapezoidal rule on PHASE_NODES equispaced
-    nodes.  Built once per (spec, setting, detector) while among the last
-    three asked for (see the module docstring); read-only.
+    nodes.  The memo keeps one table per protocol configuration (see the
+    module docstring); read-only.
     """
     total = setup_transform(setting).matrix
     u = total[list(_DET_MODES), MODE_INDEX[AH]]
@@ -401,7 +415,7 @@ def coherent_outcome_table(
     return table
 
 
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=len(BlockedArm))
 def fock_outcome_table(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
 ) -> np.ndarray:

@@ -11,8 +11,6 @@ from cohsh.chsh import (
     _STREAM_SWEEP,
     BELL_TEST_ANGLES,
     SubtractedCorrelation,
-    _blocked_variants,
-    _common_normalization,
     bell_angle_S,
     chsh_S,
     correlation_E,
@@ -30,6 +28,7 @@ from cohsh.measurement import (
     DetectorModel,
     coherent_outcome_table,
     exact_rates,
+    protocol,
 )
 from cohsh.source import BlockedArm, SourceSpec
 
@@ -43,15 +42,19 @@ def table(pp, pm, mp, mm, **meta) -> CountTable:
     return CountTable(pp, pm, mp, mm, **meta)
 
 
+#: The protocol runs with weights (1, -1, -1): plain subtraction of the blocked tables.
+UNIT_RUNS = protocol(SourceSpec(0.05, 0.05), DetectorModel(semantics="threshold"))
+
+
 def test_subtract_background_trivial_cases():
     full = table(4.0, 3.0, 2.0, 1.0)
     zero = table(0.0, 0.0, 0.0, 0.0)
-    out, clamped = subtract_background(full, zero, zero)
+    out, clamped = subtract_background((full, zero, zero), UNIT_RUNS)
     assert np.array_equal(out.values(), full.values())
     assert clamped == 0.0
 
     half = table(2.0, 1.5, 1.0, 0.5)
-    out, clamped = subtract_background(full, half, half)
+    out, clamped = subtract_background((full, half, half), UNIT_RUNS)
     assert out.total == 0.0
     assert clamped == 0.0
 
@@ -59,7 +62,7 @@ def test_subtract_background_trivial_cases():
 def test_subtract_background_clamps_negatives():
     full = table(1.0, 1.0, 1.0, 1.0)
     big = table(2.0, 0.0, 0.0, 0.0)
-    out, clamped = subtract_background(full, big, big)
+    out, clamped = subtract_background((full, big, big), UNIT_RUNS)
     assert out.n_pp == 0.0
     assert clamped == pytest.approx(3.0)
 
@@ -68,20 +71,33 @@ def test_subtract_background_metadata_validation():
     full = table(1.0, 0.0, 0.0, 0.0, alpha=0.0, beta=0.1)
     other = table(0.0, 0.0, 0.0, 0.0, alpha=0.0, beta=0.2)
     match = table(0.0, 0.0, 0.0, 0.0, alpha=0.0, beta=0.1)
-    with pytest.raises(ValueError):
-        subtract_background(full, other, match)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disagree on beta"):
+        subtract_background((full, other, match), UNIT_RUNS)
+    with pytest.raises(ValueError, match="unequal trial numbers"):
         subtract_background(
-            table(1.0, 0.0, 0.0, 0.0, trials=100),
-            table(0.0, 0.0, 0.0, 0.0, trials=200),
-            table(0.0, 0.0, 0.0, 0.0, trials=100),
+            (
+                table(1.0, 0.0, 0.0, 0.0, trials=100),
+                table(0.0, 0.0, 0.0, 0.0, trials=200),
+                table(0.0, 0.0, 0.0, 0.0, trials=100),
+            ),
+            UNIT_RUNS,
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="table marked block_a used in the none slot"):
         subtract_background(
-            table(1.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_A),
-            table(0.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_A),
-            table(0.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_B),
+            (
+                table(1.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_A),
+                table(0.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_A),
+                table(0.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_B),
+            ),
+            UNIT_RUNS,
         )
+
+
+def test_subtract_background_needs_one_table_per_run():
+    zero = table(0.0, 0.0, 0.0, 0.0)
+    for tables in ((zero, zero), (zero, zero, zero, zero)):
+        with pytest.raises(ValueError, match=f"{len(tables)} tables for a protocol of 3 runs"):
+            subtract_background(tables, UNIT_RUNS)
 
 
 def test_exact_subtraction_isolates_anticorrelation():
@@ -96,9 +112,9 @@ def test_exact_subtraction_isolates_anticorrelation():
 
 
 def test_blocked_rescaling_uses_detected_means():
-    """A lossy run normalizes its blocked tables as the lossless run at its detected means.
+    """A lossy run weights its blocked tables as the lossless run at its detected means.
 
-    Exact tables and per-trial coherent tables go through the same rescaling.
+    Exact tables and per-trial coherent tables enter with the same weights.
     """
     eff = 0.6
     lossy = DetectorModel(efficiency=eff)
@@ -107,23 +123,18 @@ def test_blocked_rescaling_uses_detected_means():
     setting = AnalyzerSetting(0.0, math.pi / 8)
 
     def normalized(spec, detector):
-        per_trial = tuple(
-            CountTable.from_values(coherent_outcome_table(s, setting, detector), trials=1)
-            for s in _blocked_variants(spec)
-        )
+        runs = protocol(spec, detector)
         return (
-            _common_normalization(per_trial, spec, detector),
-            _common_normalization(exact_rates(spec, setting, detector), spec, detector),
+            [w * coherent_outcome_table(s, setting, detector) for s, w in runs],
+            [w * t.values() for t, (_, w) in zip(exact_rates(spec, setting, detector), runs)],
         )
 
     lossy_tables, lossless_tables = normalized(spec, lossy), normalized(detected, IDEAL)
     for lossy_run, lossless_run in zip(lossy_tables, lossless_tables):
-        for ours, reference in zip(lossy_run, lossless_run):
-            expected = reference.values()
-            assert np.abs(ours.values() - expected).max() <= 1e-14 * expected.max()
-    for coherent, exact in zip(*lossy_tables):
-        expected = exact.values()
-        assert np.abs(coherent.values() - expected).max() <= 1e-14 * expected.max()
+        for ours, expected in zip(lossy_run, lossless_run):
+            assert np.abs(ours - expected).max() <= 1e-14 * np.abs(expected).max()
+    for coherent, expected in zip(*lossy_tables):
+        assert np.abs(coherent - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_correlation_e_values():

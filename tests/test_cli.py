@@ -190,6 +190,47 @@ def test_config_accepts_whole_number_floats(tmp_path):
     assert len(cfg.sweep) == 3
 
 
+_QUAD = ("alpha", "alpha_prime", "beta", "beta_prime")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            dict(angles={"quad": {"alpha": 0.1}}),
+            "missing keys in angles.quad: ['alpha_prime', 'beta', 'beta_prime']",
+        ),
+        (
+            dict(angles={"sweep": {"start": 0.0, "points": 3}}),
+            "missing keys in angles.sweep: ['stop']",
+        ),
+        (dict(source="abc"), "source must be a JSON object, got 'abc'"),
+        (dict(angles={"quad": 3}), "angles.quad must be a JSON object, got 3"),
+        (
+            dict(angles={"sweep": 5}),
+            "angles.sweep must be a list of angles or a JSON object, got 5",
+        ),
+        (dict(angles={"sweep": [0.0, "1"]}), "angles.sweep[1] must be a finite number, got '1'"),
+        (dict(detector=[]), "detector must be a JSON object, got []"),
+        (dict(output=3), "output must be a JSON object, got 3"),
+        (dict(source={"mu_a": None}), "source.mu_a must be a finite number, got None"),
+        (dict(source={"mu_a": "0.1"}), "source.mu_a must be a finite number, got '0.1'"),
+        (dict(source={"mu_a": float("nan")}), "source.mu_a must be a finite number, got nan"),
+        (dict(source={"mu_a": 10**400}), "source.mu_a must be a finite number, got 1000"),
+        (dict(angles={"quad": dict.fromkeys(_QUAD, float("inf"))}), "angles.quad.alpha must"),
+        (dict(detector={"efficiency": True}), "detector.efficiency must be a finite number"),
+        (dict(_MC, seed="5"), "seed must be a whole number, got '5'"),
+    ],
+)
+def test_config_errors_name_the_section_and_the_key(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert str(refused.value).startswith(message)
+    assert main(["chsh", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+
+
 def test_cli_invalid_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, mode="mc_fock")  # missing seed
     assert main(["chsh", "--config", path]) == 2

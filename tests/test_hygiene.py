@@ -63,3 +63,25 @@ def test_modules_use_every_private_name_they_define():
         if names := _private_module_names(tree) - _loaded_names(tree):
             unused[path.name] = sorted(names)
     assert unused == {}
+
+
+def _blocked_arm_members_named(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "BlockedArm"
+        and node.attr in ("BLOCK_A", "BLOCK_B")
+    }
+
+
+def test_only_the_source_and_the_protocol_name_the_blocked_configurations():
+    # the configurations are listed once, in measurement.protocol
+    named = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("source.py", "measurement.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if members := _blocked_arm_members_named(tree):
+                named[path.name] = sorted(members)
+    assert named == {}

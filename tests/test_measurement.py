@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cohsh import measurement
-from cohsh.chsh import _common_normalization, subtract_background
+from cohsh.chsh import subtract_background
 from cohsh.elements import compose
 from cohsh.fock import AH, BV, StateVector, basis_state
 from cohsh.measurement import (
@@ -22,6 +22,7 @@ from cohsh.measurement import (
     derive_rng,
     exact_rates,
     fock_outcome_table,
+    protocol,
     run_montecarlo_coherent,
     run_montecarlo_fock,
     setup_transform,
@@ -57,9 +58,9 @@ def sector(**occupations) -> StateVector:
 
 
 def subtracted(spec, setting, detector=IDEAL) -> np.ndarray:
-    """The background-subtracted exact table, blocked runs normalized as in every mode."""
-    tables = _common_normalization(exact_rates(spec, setting, detector), spec, detector)
-    return subtract_background(*tables)[0].values()
+    """The background-subtracted exact table, weighted by the protocol as in every mode."""
+    tables = exact_rates(spec, setting, detector)
+    return subtract_background(tables, protocol(spec, detector))[0].values()
 
 
 def test_analyzer_transform_zero_is_identity():
@@ -155,6 +156,43 @@ def test_exact_rates_rejects_a_blocked_spec():
     for arm in (BlockedArm.BLOCK_A, BlockedArm.BLOCK_B):
         with pytest.raises(ValueError, match="unblocked"):
             exact_rates(SourceSpec(0.05, 0.05, blocked=arm), AnalyzerSetting(0.0, 0.3), IDEAL)
+
+
+def test_protocol_lists_the_open_run_then_each_blocked_arm():
+    spec = SourceSpec(0.1, 0.07, n_max=3)
+    for semantics in CoincidenceSemantics:
+        configs = [config for config, _ in protocol(spec, DetectorModel(semantics=semantics))]
+        assert [c.blocked for c in configs] == [
+            BlockedArm.NONE,
+            BlockedArm.BLOCK_A,
+            BlockedArm.BLOCK_B,
+        ]
+        assert all(replace(c, blocked=BlockedArm.NONE) == spec for c in configs)
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.6])
+def test_protocol_weights_the_blocked_runs_by_the_missing_arms_vacuum_factor(efficiency):
+    spec = SourceSpec(0.1, 0.07)
+    exact = protocol(spec, DetectorModel(efficiency=efficiency))
+    assert [w for _, w in exact] == [
+        1.0,
+        -math.exp(-efficiency * spec.mu_a),
+        -math.exp(-efficiency * spec.mu_b),
+    ]
+    threshold = protocol(spec, DetectorModel(efficiency=efficiency, semantics="threshold"))
+    assert [w for _, w in threshold] == [1.0, -1.0, -1.0]
+
+
+def test_protocol_refuses_a_blocked_spec():
+    for arm in (BlockedArm.BLOCK_A, BlockedArm.BLOCK_B):
+        with pytest.raises(ValueError, match="unblocked"):
+            protocol(SourceSpec(0.05, 0.05, blocked=arm), IDEAL)
+
+
+def test_outcome_table_memos_hold_one_table_per_configuration():
+    size = len(protocol(SourceSpec(0.05, 0.05), IDEAL))
+    for builder in (coherent_outcome_table, fock_outcome_table):
+        assert builder.cache_info().maxsize == size
 
 
 def _full_sector_table(setting, n_max, semantics):
