@@ -31,9 +31,10 @@ import numpy as np
 from . import __version__
 from .chsh import fit_visibility, measure_protocol, run_chsh, sweep_correlation
 from .config import ConfigError, ExperimentConfig, OutputFormat, RunMode, load_config
-from .elements import apply, beam_splitter, compose, phase_shift, polarization_rotator
-from .fock import AH, Port, StateVector, basis_state, density_matrix
+from .elements import apply, phase_shift, polarization_rotator
+from .fock import Port, StateVector, basis_state, density_matrix
 from .measurement import (
+    RECOMBINER,
     AnalyzerSetting,
     CountTable,
     DetectorModel,
@@ -44,7 +45,6 @@ from .measurement import (
     setup_transform,
 )
 from .source import (
-    BlockedArm,
     SourceSpec,
     phase_averaged_coherent,
     poisson_diagonal_mixture,
@@ -97,15 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the built-in validation battery")
-    p_val.add_argument(
-        "--bs-angle",
-        type=float,
-        default=math.pi / 4,
-        metavar="RAD",
-        help="transmissivity angle of the splitter in the unitarity and "
-        "hom-cancellation checks; the other checks use the fixed recombiner, "
-        "so any angle other than pi/4 fails hom-cancellation alone",
-    )
     p_val.set_defaults(func=_cmd_validate)
 
     p_dstate = sub.add_parser("dump-state", help="write the source mixture as JSON")
@@ -162,19 +153,10 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _protocol_source(cfg: ExperimentConfig) -> SourceSpec:
-    if cfg.source.blocked is not BlockedArm.NONE:
-        raise ConfigError(
-            "the runner performs the blocked configurations itself; "
-            "set source.blocked to none"
-        )
-    return cfg.source
-
-
 def _cmd_chsh(args: argparse.Namespace) -> int:
     cfg = _load_json_only(args)
     run = run_chsh(
-        _protocol_source(cfg),
+        cfg.source,
         cfg.detector,
         cfg.quad,
         mode=cfg.mode,
@@ -209,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command needs an angles.sweep grid in the config")
     points = sweep_correlation(
-        _protocol_source(cfg),
+        cfg.source,
         cfg.detector,
         cfg.sweep,
         mode=cfg.mode,
@@ -237,22 +219,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def validation_checks(bs_angle: float = math.pi / 4) -> list[tuple[str, bool, str]]:
+def validation_checks() -> list[tuple[str, bool, str]]:
     """The validation battery: (name, passed, detail) per check."""
     checks: list[tuple[str, bool, str]] = []
 
-    splitter = beam_splitter(Port.A, Port.B, bs_angle)
     stack = [
-        splitter,
+        RECOMBINER,
         polarization_rotator(Port.C, 0.3),
         phase_shift(Port.B, 1.1),
         analyzer_transform(AnalyzerSetting(0.2, 0.9)),
-        compose(splitter, analyzer_transform(AnalyzerSetting(0.7, -0.4))),
+        setup_transform(AnalyzerSetting(0.7, -0.4)),
     ]
     defect = max(t.unitarity_defect() for t in stack)
     checks.append(("unitarity", defect < 1e-12, f"max defect {defect:.3e} (tol 1e-12)"))
 
-    out = apply(splitter, StateVector.from_basis(basis_state(aH=1, bH=1)))
+    out = apply(RECOMBINER, StateVector.from_basis(basis_state(aH=1, bH=1)))
     residual = max(
         (
             abs(amp)
@@ -266,8 +247,8 @@ def validation_checks(bs_angle: float = math.pi / 4) -> list[tuple[str, bool, st
     )
 
     mixture = phase_averaged_coherent(0.2, 8, 256)
-    rho = density_matrix(mixture, [AH], 8)
-    sigma = density_matrix(poisson_diagonal_mixture(0.2, 8), [AH], 8)
+    rho = density_matrix(mixture, 8)
+    sigma = density_matrix(poisson_diagonal_mixture(0.2, 8), 8)
     distance = trace_distance(rho, sigma)
     checks.append(
         ("phase-average", distance < 1e-6, f"trace distance {distance:.3e} (tol 1e-6)")
@@ -297,7 +278,7 @@ def validation_checks(bs_angle: float = math.pi / 4) -> list[tuple[str, bool, st
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    checks = validation_checks(args.bs_angle)
+    checks = validation_checks()
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -2,7 +2,7 @@
 
 Keys, all optional:
 
-    source       mu_a, mu_b, n_max, blocked (none | block_a | block_b)
+    source       mu_a, mu_b, n_max
     detector     visibility_eta, efficiency, dark_rate,
                  coincidence_semantics (exact_one_one | threshold)
     mode         exact | mc_fock | mc_coherent
@@ -40,7 +40,7 @@ import numpy as np
 
 from .chsh import BELL_TEST_ANGLES, RunMode
 from .measurement import SEED_LIMIT, CoincidenceSemantics, DetectorModel
-from .source import BlockedArm, SourceSpec
+from .source import SourceSpec
 
 
 class ConfigError(ValueError):
@@ -85,7 +85,6 @@ class ExperimentConfig:
                 "mu_a": float(self.source.mu_a),
                 "mu_b": float(self.source.mu_b),
                 "n_max": int(self.source.n_max),
-                "blocked": self.source.blocked.value,
             },
             "detector": {
                 "visibility_eta": float(self.detector.visibility_eta),
@@ -178,12 +177,11 @@ def _section(name: str, data: Any, keys: set[str], complete: bool = False) -> Ma
 
 
 def _parse_source(data: Any, default: SourceSpec) -> SourceSpec:
-    data = _section("source", data, {"mu_a", "mu_b", "n_max", "blocked"})
+    data = _section("source", data, {"mu_a", "mu_b", "n_max"})
     return SourceSpec(
         mu_a=_number("source.mu_a", data.get("mu_a", default.mu_a)),
         mu_b=_number("source.mu_b", data.get("mu_b", default.mu_b)),
         n_max=_whole("source.n_max", data.get("n_max", default.n_max)),
-        blocked=BlockedArm(data.get("blocked", default.blocked)),
     )
 
 

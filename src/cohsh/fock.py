@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -191,17 +191,6 @@ class StateVector:
             for state, amp in self.items()
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Mapping]) -> "StateVector":
-        return cls(
-            {
-                FockBasisState.from_occupations(term["occupations"]): complex(
-                    term["re"], term["im"]
-                )
-                for term in obj
-            }
-        )
-
     def __repr__(self) -> str:
         parts = [f"({amp:.4g})*{state}" for state, amp in self.items()]
         return " + ".join(parts) if parts else "<zero state>"
@@ -243,38 +232,22 @@ class DensityMixture:
             for weight, state in self.components
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Mapping]) -> "DensityMixture":
-        return cls(
-            tuple(
-                (float(item["weight"]), StateVector.from_json_obj(item["terms"]))
-                for item in obj
-            )
-        )
 
+def density_matrix(mixture: DensityMixture, n_max: int) -> np.ndarray:
+    """Dense density matrix of a mixture supported on mode aH, basis |0>..|n_max>.
 
-def density_matrix(
-    mixture: DensityMixture, modes: Sequence[ModeLabel], n_max: int
-) -> np.ndarray:
-    """Dense density matrix of a mixture supported on the given modes.
-
-    The basis enumerates occupations 0..n_max per listed mode in lexicographic
-    order.  Raises if any component occupies other modes or exceeds the cutoff
-    (diagnostic use: trace-distance checks on one or two modes).
+    Raises if any component occupies another mode or exceeds the cutoff
+    (diagnostic use: trace-distance checks of the single-beam source).
     """
-    mode_pos = [MODE_INDEX[m] for m in modes]
-    dim = (n_max + 1) ** len(modes)
-    strides = [(n_max + 1) ** (len(modes) - 1 - k) for k in range(len(modes))]
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for weight, state in mixture.components:
-        vec = np.zeros(dim, dtype=complex)
+        vec = np.zeros(n_max + 1, dtype=complex)
         for bstate, amp in state.items():
-            for pos, n in enumerate(bstate.occ):
-                if n and pos not in mode_pos:
-                    raise ValueError(f"state occupies mode {MODES[pos].name} outside {modes}")
-            occ = [bstate.occ[p] for p in mode_pos]
-            if any(n > n_max for n in occ):
+            n = bstate.count(AH)
+            if sum(bstate.occ) != n:
+                raise ValueError(f"state {bstate} occupies a mode other than aH")
+            if n > n_max:
                 raise ValueError(f"occupation above n_max={n_max} in {bstate}")
-            vec[sum(n * s for n, s in zip(occ, strides))] = amp
+            vec[n] = amp
         rho += weight * np.outer(vec, vec.conjugate())
     return rho

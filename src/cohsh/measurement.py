@@ -355,12 +355,6 @@ def _run_table(
     )
 
 
-def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(int(rng))
-
-
 @lru_cache(maxsize=len(BlockedArm))
 def coherent_outcome_table(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
@@ -481,11 +475,11 @@ def _sampled_table(
     setting: AnalyzerSetting,
     detector: DetectorModel,
     trials: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> CountTable:
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    counts = _sample_counts(builder(spec, setting, detector), detector, trials, _as_rng(rng))
+    counts = _sample_counts(builder(spec, setting, detector), detector, trials, rng)
     return _run_table(counts, spec, setting, trials)
 
 
@@ -494,7 +488,7 @@ def run_montecarlo_fock(
     setting: AnalyzerSetting,
     detector: DetectorModel,
     trials: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> CountTable:
     """Coincidence counts of ``trials`` trials of the photon-number model.
 
@@ -508,7 +502,7 @@ def run_montecarlo_coherent(
     setting: AnalyzerSetting,
     detector: DetectorModel,
     trials: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> CountTable:
     """Coincidence counts of ``trials`` trials of the coherent-amplitude model.
 

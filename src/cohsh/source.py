@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import AH, BV, DensityMixture, FockBasisState, ModeLabel, StateVector
+from .fock import AH, BV, DensityMixture, FockBasisState, StateVector
 
 
 class BlockedArm(str, Enum):
@@ -41,7 +41,7 @@ class SourceSpec:
 
     A blocked arm forces the corresponding effective mean to zero without
     touching the nominal value, mirroring the shutter used for the
-    background-measurement runs.
+    background-measurement runs; measurement.protocol sets it.
     """
 
     mu_a: float
@@ -105,24 +105,20 @@ def two_mode_input(spec: SourceSpec) -> tuple[DensityMixture, float]:
     return DensityMixture.from_components(components), max(0.0, discarded)
 
 
-def coherent_state(
-    mu: float, phase: float, n_max: int, mode: ModeLabel = AH
-) -> StateVector:
-    """Truncated single-mode coherent state |sqrt(mu) e^{i phase}> on one mode."""
+def coherent_state(mu: float, phase: float, n_max: int) -> StateVector:
+    """Truncated coherent state |sqrt(mu) e^{i phase}> on mode aH."""
     alpha = complex(math.sqrt(mu) * math.cos(phase), math.sqrt(mu) * math.sin(phase))
     terms: dict[FockBasisState, complex] = {}
     amp = complex(math.exp(-mu / 2.0))
     for n in range(n_max + 1):
         if n > 0:
             amp = amp * alpha / math.sqrt(n)
-        terms[FockBasisState.from_occupations({mode: n})] = amp
+        terms[FockBasisState.from_occupations({AH: n})] = amp
     return StateVector(terms).normalize()
 
 
-def phase_averaged_coherent(
-    mu: float, n_max: int, n_phases: int, mode: ModeLabel = AH
-) -> DensityMixture:
-    """Uniform discrete phase average of a coherent projector.
+def phase_averaged_coherent(mu: float, n_max: int, n_phases: int) -> DensityMixture:
+    """Uniform discrete phase average of a coherent projector on mode aH.
 
     Averages |sqrt(mu) e^{i phi}><...| over n_phases equally spaced phases.
     For n_phases >= n_max + 1 the discrete average already kills every Fock
@@ -134,16 +130,16 @@ def phase_averaged_coherent(
         raise ValueError("n_phases must be at least 1")
     weight = 1.0 / n_phases
     return DensityMixture.from_components(
-        (weight, coherent_state(mu, 2.0 * math.pi * k / n_phases, n_max, mode))
+        (weight, coherent_state(mu, 2.0 * math.pi * k / n_phases, n_max))
         for k in range(n_phases)
     )
 
 
-def poisson_diagonal_mixture(mu: float, n_max: int, mode: ModeLabel = AH) -> DensityMixture:
-    """Truncated, renormalized Poisson mixture of number states on one mode."""
+def poisson_diagonal_mixture(mu: float, n_max: int) -> DensityMixture:
+    """Truncated, renormalized Poisson mixture of number states on mode aH."""
     weights = _truncated_weights(mu, n_max)
     return DensityMixture.from_components(
-        (float(weights[n]), StateVector.from_basis(FockBasisState.from_occupations({mode: n})))
+        (float(weights[n]), StateVector.from_basis(FockBasisState.from_occupations({AH: n})))
         for n in range(n_max + 1)
     )
 

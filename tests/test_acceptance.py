@@ -22,7 +22,7 @@ from cohsh.chsh import (
     sweep_correlation,
 )
 from cohsh.elements import apply, beam_splitter, compose, phase_shift, polarization_rotator
-from cohsh.fock import AH, FockBasisState, Port, StateVector, basis_state, density_matrix
+from cohsh.fock import FockBasisState, Port, StateVector, basis_state, density_matrix
 from cohsh.measurement import (
     AnalyzerSetting,
     DetectorModel,
@@ -169,8 +169,8 @@ def test_criterion_5_two_photon_decomposition():
 
 def test_criterion_6_phase_average_identity():
     mu, n_max = 0.2, 8
-    rho = density_matrix(phase_averaged_coherent(mu, n_max, 256), [AH], n_max)
-    sigma = density_matrix(poisson_diagonal_mixture(mu, n_max), [AH], n_max)
+    rho = density_matrix(phase_averaged_coherent(mu, n_max, 256), n_max)
+    sigma = density_matrix(poisson_diagonal_mixture(mu, n_max), n_max)
     distance = trace_distance(rho, sigma)
     assert distance < 1e-6
     _report(6, f"trace distance to Poisson mixture = {distance:.3e} at K=256 (tol 1e-6)")
@@ -181,9 +181,11 @@ def test_criterion_7_cross_sampler_equivalence():
     trials = 1_000_000
     worst = 0.0
     for idx, setting in enumerate(setting_quad(*BELL_TEST_ANGLES)):
-        fock = run_montecarlo_fock(spec, setting, IDEAL, trials, 1000 + idx).values()
+        fock = run_montecarlo_fock(
+            spec, setting, IDEAL, trials, np.random.default_rng(1000 + idx)
+        ).values()
         coherent = run_montecarlo_coherent(
-            spec, setting, IDEAL, trials, 2000 + idx
+            spec, setting, IDEAL, trials, np.random.default_rng(2000 + idx)
         ).values()
         pooled = (fock + coherent) / (2.0 * trials)
         sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 * trials) + 1e-9

@@ -376,21 +376,6 @@ def test_cli_validate_passes_by_default(capsys):
     assert "FAIL" not in out
 
 
-def test_cli_validate_corrupted_splitter_fails(capsys):
-    assert main(["validate", "--bs-angle", "0.62"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL hom-cancellation" in out
-
-
-def test_cli_validate_bs_angle_fails_hom_cancellation_alone(capsys):
-    assert main(["validate", "--bs-angle", "0.7"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
-        "FAIL hom-cancellation"
-    ]
-    assert lines[-1] == "4/5 checks passed"
-
-
 def test_validation_checks_details():
     checks = dict(
         (name, (ok, detail)) for name, ok, detail in validation_checks()

@@ -369,21 +369,25 @@ def test_derive_rng_rejects_seeds_outside_64_bits():
 def test_montecarlo_determinism(runner):
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, math.pi / 8)
-    one = runner(spec, setting, IDEAL, 300_000, 42)
-    two = runner(spec, setting, IDEAL, 300_000, 42)
+    one = runner(spec, setting, IDEAL, 300_000, np.random.default_rng(42))
+    two = runner(spec, setting, IDEAL, 300_000, np.random.default_rng(42))
     assert one == two
     assert one.trials == 300_000
 
 
 @pytest.mark.parametrize("runner", [run_montecarlo_fock, run_montecarlo_coherent])
 def test_montecarlo_dead_source_counts_nothing(runner):
-    table = runner(SourceSpec(0.0, 0.0), AnalyzerSetting(0.0, 0.0), IDEAL, 50_000, 1)
+    table = runner(
+        SourceSpec(0.0, 0.0), AnalyzerSetting(0.0, 0.0), IDEAL, 50_000, np.random.default_rng(1)
+    )
     assert table.total == 0.0
 
 
 def test_montecarlo_coherent_single_polarization():
     spec = SourceSpec(0.05, 0.0)
-    table = run_montecarlo_coherent(spec, AnalyzerSetting(0.0, 0.0), IDEAL, 500_000, 7)
+    table = run_montecarlo_coherent(
+        spec, AnalyzerSetting(0.0, 0.0), IDEAL, 500_000, np.random.default_rng(7)
+    )
     assert table.n_pm == 0.0
     assert table.n_mp == 0.0
     assert table.n_mm == 0.0
@@ -395,7 +399,7 @@ def test_montecarlo_matches_exact_rates(runner):
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, math.pi / 8)
     trials = 400_000
-    table = runner(spec, setting, IDEAL, trials, 2024)
+    table = runner(spec, setting, IDEAL, trials, np.random.default_rng(2024))
     expected = exact_rates(spec, setting, IDEAL)[0].values() * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
@@ -420,7 +424,7 @@ def test_threshold_montecarlo_matches_exact_threshold_rates(runner):
     setting = AnalyzerSetting(0.0, math.pi / 8)
     threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
     trials = 400_000
-    table = runner(spec, setting, threshold, trials, 606)
+    table = runner(spec, setting, threshold, trials, np.random.default_rng(606))
     expected = exact_rates(spec, setting, threshold)[0].values() * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
@@ -433,7 +437,7 @@ def test_montecarlo_efficiency_thinning(runner):
     eff = 0.6
     lossy = DetectorModel(efficiency=eff)
     trials = 1_000_000
-    table = runner(spec, setting, lossy, trials, 4242)
+    table = runner(spec, setting, lossy, trials, np.random.default_rng(4242))
     expected = exact_rates(spec, setting, lossy)[0].values() * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
@@ -450,8 +454,12 @@ def test_montecarlo_visibility_relabel_scales_e(runner):
         v = table.values()
         return (v[0] - v[1] - v[2] + v[3]) / v.sum()
 
-    ideal = correlation(runner(spec, setting, IDEAL, trials, 321))
-    faded = correlation(runner(spec, setting, DetectorModel(visibility_eta=eta), trials, 321))
+    ideal = correlation(runner(spec, setting, IDEAL, trials, np.random.default_rng(321)))
+    faded = correlation(
+        runner(
+            spec, setting, DetectorModel(visibility_eta=eta), trials, np.random.default_rng(321)
+        )
+    )
     assert faded == pytest.approx(eta * ideal, abs=0.05)
 
 
@@ -460,8 +468,8 @@ def test_montecarlo_coherent_dark_counts_add_background():
     setting = AnalyzerSetting(0.0, 0.0)
     dark = DetectorModel(dark_rate=1e-3)
     trials = 500_000
-    clean = run_montecarlo_coherent(spec, setting, IDEAL, trials, 777)
-    noisy = run_montecarlo_coherent(spec, setting, dark, trials, 777)
+    clean = run_montecarlo_coherent(spec, setting, IDEAL, trials, np.random.default_rng(777))
+    noisy = run_montecarlo_coherent(spec, setting, dark, trials, np.random.default_rng(777))
     # single-polarization source alone cannot fire the V detectors
     assert clean.n_pm + clean.n_mp + clean.n_mm == 0.0
     assert noisy.n_pm + noisy.n_mp > 0.0
@@ -474,7 +482,7 @@ def test_montecarlo_fock_rejects_dark_counts():
             AnalyzerSetting(0.0, 0.0),
             DetectorModel(dark_rate=1e-4),
             1000,
-            5,
+            np.random.default_rng(5),
         )
 
 
@@ -593,7 +601,9 @@ def test_montecarlo_coherent_matches_per_trial_oracle(semantics):
         visibility_eta=0.5, efficiency=0.6, semantics=semantics, dark_rate=0.05
     )
     trials = 200_000
-    ours = run_montecarlo_coherent(spec, setting, detector, trials, 31).values()
+    ours = run_montecarlo_coherent(
+        spec, setting, detector, trials, np.random.default_rng(31)
+    ).values()
     reference = oracle_poisson_readout_counts(
         spec.mu_a,
         spec.mu_b,
@@ -621,9 +631,9 @@ def test_montecarlo_visibility_scales_correlation():
         v = table.values()
         return (v[0] - v[1] - v[2] + v[3]) / v.sum()
 
-    ideal = run_montecarlo_coherent(spec, setting, IDEAL, trials, 101)
+    ideal = run_montecarlo_coherent(spec, setting, IDEAL, trials, np.random.default_rng(101))
     faded = run_montecarlo_coherent(
-        spec, setting, DetectorModel(visibility_eta=eta), trials, 101
+        spec, setting, DetectorModel(visibility_eta=eta), trials, np.random.default_rng(101)
     )
     assert correlation(faded) == pytest.approx(eta * correlation(ideal), abs=0.02)
 
