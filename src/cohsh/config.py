@@ -18,9 +18,11 @@ A key that is left out keeps the default of the dataclass field it sets;
 ``ExperimentConfig().to_json_dict()`` is the document of defaults.
 Parsing is strict: every section must be a JSON object, and unknown keys,
 missing required keys (all four quad angles; start, stop and points of a
-sweep object) and numeric values that are not finite JSON numbers raise
-ConfigError naming the section or key.  So do fractional or boolean values
-of the integer keys (whole-number floats such as 1e7 pass).
+sweep object), numeric values that are not finite JSON numbers, a mode,
+coincidence_semantics or format outside its listed values and an
+output.path that is not a string or null raise ConfigError naming the
+section or key.  So do fractional or boolean values of the integer keys
+(whole-number floats such as 1e7 pass).
 parse -> serialize -> parse is the identity (a sweep given as
 start/stop/points serializes as the explicit list it expands to), so
 command-line flags are laid over the serialized config and parsed by the
@@ -120,7 +122,7 @@ class ExperimentConfig:
         try:
             source = _parse_source(data.pop("source", {}), default.source)
             detector = _parse_detector(data.pop("detector", {}), default.detector)
-            mode = RunMode(data.pop("mode", default.mode))
+            mode = _member("mode", RunMode, data.pop("mode", default.mode))
             trials = _whole("trials", data.pop("trials", default.trials))
             repetitions = _whole("repetitions", data.pop("repetitions", default.repetitions))
             quad, sweep = _parse_angles(data.pop("angles", {}), default)
@@ -164,6 +166,15 @@ def _whole(key: str, value: Any) -> int:
     return int(value)
 
 
+def _member(key: str, kind: type[Enum], value: Any) -> Any:
+    """An enum config value, given by the string of one of its members."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = [member.value for member in kind]
+        raise ConfigError(f"{key} must be one of {allowed}, got {value!r}") from None
+
+
 def _section(name: str, data: Any, keys: set[str], complete: bool = False) -> Mapping:
     """A config section: a JSON object with no key outside ``keys``, and with
     all of them if ``complete``."""
@@ -193,7 +204,11 @@ def _parse_detector(data: Any, default: DetectorModel) -> DetectorModel:
             "detector.visibility_eta", data.get("visibility_eta", default.visibility_eta)
         ),
         efficiency=_number("detector.efficiency", data.get("efficiency", default.efficiency)),
-        semantics=CoincidenceSemantics(data.get("coincidence_semantics", default.semantics)),
+        semantics=_member(
+            "detector.coincidence_semantics",
+            CoincidenceSemantics,
+            data.get("coincidence_semantics", default.semantics),
+        ),
         dark_rate=_number("detector.dark_rate", data.get("dark_rate", default.dark_rate)),
     )
 
@@ -233,8 +248,9 @@ def _parse_angles(
 def _parse_output(data: Any, default: ExperimentConfig) -> tuple[str | None, OutputFormat]:
     data = _section("output", data, {"path", "format"})
     path = data.get("path", default.out_path)
-    out_format = OutputFormat(data.get("format", default.out_format))
-    return (None if path is None else str(path)), out_format
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"output.path must be a string or null, got {path!r}")
+    return path, _member("output.format", OutputFormat, data.get("format", default.out_format))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -220,6 +220,17 @@ _QUAD = ("alpha", "alpha_prime", "beta", "beta_prime")
         (dict(angles={"quad": dict.fromkeys(_QUAD, float("inf"))}), "angles.quad.alpha must"),
         (dict(detector={"efficiency": True}), "detector.efficiency must be a finite number"),
         (dict(_MC, seed="5"), "seed must be a whole number, got '5'"),
+        (dict(mode=3), "mode must be one of ['exact', 'mc_fock', 'mc_coherent'], got 3"),
+        (
+            dict(detector={"coincidence_semantics": 5}),
+            "detector.coincidence_semantics must be one of ['exact_one_one', 'threshold'], got 5",
+        ),
+        (
+            dict(output={"format": "xml"}),
+            "output.format must be one of ['csv', 'json'], got 'xml'",
+        ),
+        (dict(output={"path": 5}), "output.path must be a string or null, got 5"),
+        (dict(source={"blocked": "none"}), "unknown keys in source: ['blocked']"),
     ],
 )
 def test_config_errors_name_the_section_and_the_key(tmp_path, capsys, overrides, message):
@@ -386,7 +397,7 @@ def test_validation_checks_details():
 
 
 @pytest.mark.parametrize("builder", ["exact_rates", "coherent_outcome_table"])
-def test_validate_two_photon_check_fails_on_a_scaled_builder(monkeypatch, builder):
+def test_validate_two_photon_check_fails_on_a_scaled_builder(monkeypatch, capsys, builder):
     """The exact and coherent tables are built independently, so a 1e-9 error shows."""
     original = getattr(cli, builder)
 
@@ -400,6 +411,12 @@ def test_validate_two_photon_check_fails_on_a_scaled_builder(monkeypatch, builde
     checks = {name: ok for name, ok, _ in validation_checks()}
     assert not checks["two-photon-decomposition"]
     assert sum(checks.values()) == len(checks) - 1
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL two-photon-decomposition"
+    ]
+    assert lines[-1] == "4/5 checks passed"
 
 
 def test_cli_dump_state(tmp_path):

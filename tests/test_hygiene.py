@@ -85,3 +85,14 @@ def test_only_the_source_and_the_protocol_name_the_blocked_configurations():
             if members := _blocked_arm_members_named(tree):
                 named[path.name] = sorted(members)
     assert named == {}
+
+
+def test_only_the_source_the_protocol_and_the_package_name_the_blocked_arm_type():
+    # no config key or flag sets a shutter; measurement.protocol sets them all
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("source.py", "measurement.py", "__init__.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if "BlockedArm" in _imported_names(tree) | _used_names(tree):
+                naming.append(path.name)
+    assert naming == []
