@@ -11,9 +11,9 @@ Subcommands:
 
 Exit status is 0 for any successfully computed physics result (violating the
 inequality is a result, not an error), 1 for a failed validation battery, and
-2 for operational problems such as an invalid config or insufficient
-statistics.  All output is deterministic for a fixed config and seed,
-independent of the worker count.
+2 for operational problems such as an invalid config, insufficient
+statistics or an output file that cannot be written.  All output is
+deterministic for a fixed config and seed, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -137,11 +137,18 @@ def _load_json_only(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+class OutputError(Exception):
+    """An output file that cannot be written."""
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _summary_stream(path: str | None):
@@ -310,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

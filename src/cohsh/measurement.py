@@ -33,12 +33,14 @@ coherent model only.
 Monte Carlo.  Trials are i.i.d., so the counts of one cell are exactly
 multinomial over p-bar, the per-trial outcome distribution averaged over the
 beam phases.  Two independent builders compute p-bar: fock_outcome_table
-from Fock propagation of photon-number inputs, coherent_outcome_table from
-the Poisson readout of coherent amplitudes.  One sampler turns either into
-counts.  Each builder keeps one table per protocol configuration, read-only:
-the protocol draws a setting's configurations one repetition after another,
-so every repetition samples from the tables built for the first, and the next
-setting rebuilds them.
+from the photon-number sectors |i_aH, j_bV>, whose outcome rows have a
+closed form in the setup's two input columns (_sector_table; no sector is
+propagated), and coherent_outcome_table from the Poisson readout of
+coherent amplitudes.  One sampler turns either into counts.  Each builder
+keeps one table per protocol configuration, read-only: the protocol draws a
+setting's configurations one repetition after another, so every repetition
+samples from the tables built for the first, and the next setting rebuilds
+them.
 
 Monte Carlo determinism.  Every (setting, configuration, repetition) cell
 draws from its own SeedSequence-derived stream (derive_rng) and takes one
@@ -57,13 +59,12 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import ModeTransform, apply, beam_splitter, compose, polarization_rotator
-from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, Port, StateVector
+from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, PRUNE_EPS, Port, StateVector
 from .source import (
     BlockedArm,
     SourceSpec,
     poisson_pmf,
     two_mode_input,
-    _sector_state,
     _truncated_weights,
 )
 
@@ -85,6 +86,8 @@ _PATTERNS = np.array([[(p >> k) & 1 for k in range(4)] for p in range(16)], dtyp
 _PATTERN_CELLS = np.array(
     [[int(pattern[c] and pattern[d]) for c, d in _CELL_COLUMNS] for pattern in _PATTERNS]
 )
+#: The click pattern of each cell's two detectors and no other.
+_CELL_PATTERNS = [(1 << c) | (1 << d) for c, d in _CELL_COLUMNS]
 
 #: The recombining 50:50 splitter, a/b inputs onto c/d outputs.
 RECOMBINER = beam_splitter(Port.A, Port.B)
@@ -355,6 +358,12 @@ def _run_table(
     )
 
 
+def _detector_images(setting: AnalyzerSetting) -> tuple[np.ndarray, np.ndarray]:
+    """The aH and bV columns of the setup on the four detector modes."""
+    total = setup_transform(setting).matrix
+    return total[list(_DET_MODES), MODE_INDEX[AH]], total[list(_DET_MODES), MODE_INDEX[BV]]
+
+
 @lru_cache(maxsize=len(BlockedArm))
 def coherent_outcome_table(
     spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
@@ -379,9 +388,7 @@ def coherent_outcome_table(
     nodes.  The memo keeps one table per protocol configuration (see the
     module docstring); read-only.
     """
-    total = setup_transform(setting).matrix
-    u = total[list(_DET_MODES), MODE_INDEX[AH]]
-    v = total[list(_DET_MODES), MODE_INDEX[BV]]
+    u, v = _detector_images(setting)
     m_a, m_b = detected_means(spec, detector)
     base = m_a * np.abs(u) ** 2 + m_b * np.abs(v) ** 2
     cross = 2.0 * math.sqrt(m_a * m_b) * (u * v.conj())
@@ -417,8 +424,9 @@ def fock_outcome_table(
 
     Each arm delivers a truncated, renormalized Poisson number of photons of
     its detected mean to the detectors, and |i_aH, j_bV> is read out through
-    its sector table.  Same layout and memo as coherent_outcome_table.  Dark
-    counts are not modeled here; use the coherent model for that.
+    its row of _sector_table, a closed form whose cost barely grows with
+    n_max.  Same layout and memo as coherent_outcome_table.  Dark counts are
+    not modeled here; use the coherent model for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("dark counts are only modeled in the coherent sampler")
@@ -436,15 +444,66 @@ def _sector_table(
     """Outcome probabilities of every input sector |i_aH, j_bV>, i, j <= n_max.
 
     Axis 2 holds the four cells (exact_one_one) or the 16 click patterns
-    (threshold); rows of sectors that cannot register stay zero.  Read-only:
-    one array is shared by every caller.
+    (threshold); rows of sectors that cannot register are exactly zero.
+    Read-only: one array is shared by every caller.
+
+    Closed form, with no sector sent through the optics.  The setup maps
+    a_H^dag -> A^dag = sum_k u_k c_k^dag and b_V^dag -> B^dag = sum_k v_k c_k^dag
+    over the four detector modes, so |i, j> leaves as
+    (A^dag)^i (B^dag)^j |0> / sqrt(i! j!).  All its photons land in the
+    detector subset T when the modes outside T stay empty; that component
+    is (A_T^dag)^i (B_T^dag)^j |0> / sqrt(i! j!), with A_T^dag and B_T^dag
+    the images restricted to T.  Their commutators are
+    [A_T, A_T^dag] = alpha_T = sum_T |u_k|^2, [B_T, B_T^dag] = beta_T =
+    sum_T |v_k|^2 and [A_T, B_T^dag] = gamma_T = sum_T conj(u_k) v_k.  The
+    squared norm of a product of creation operators on the vacuum is the
+    permanent of the Gram matrix of their mode vectors: alpha_T between two
+    A's, beta_T between two B's, gamma_T or its conjugate across.  A
+    permutation that sends k of the i A's onto B's sends k of the j B's onto
+    A's and contributes g_T^k alpha_T^(i-k) beta_T^(j-k), g_T = |gamma_T|^2;
+    C(i,k)^2 C(j,k)^2 k!^2 (i-k)! (j-k)! permutations do so.  Dividing by
+    i! j! leaves the probability that no detector outside T fires,
+
+        Q_T(i, j) = sum_{k <= min(i,j)} C(i,k) C(j,k) g_T^k alpha_T^(i-k) beta_T^(j-k).
+
+    Exactly the detectors of S fire with probability
+    sum_{T <= S} (-1)^{|S - T|} Q_T, the subset Moebius inversion, done in
+    place one detector bit at a time.  exact_one_one reads the two-detector
+    patterns (c, d) of the i + j = 2 sectors: with two photons, both firing
+    and nothing else is one photon each.
+
+    Rounding leaves entries of order 1e-16 where the probability is zero.
+    Negatives are clamped at zero, and the outcomes the optics rule out are
+    exactly zero, as the propagation gives them: image amplitudes at or
+    below PRUNE_EPS are dropped, as elements.apply drops them, and i + j
+    photons fire at most i + j detectors.  The sampler draws no random
+    number for a zero cell, so where the zeros lie fixes its random stream.
     """
-    transform = setup_transform(setting)
-    table = np.zeros((n_max + 1, n_max + 1, len(_empty_outcomes(semantics))))
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            if _can_register(i, j, semantics):
-                table[i, j] = _outcome_probs(_sector_state(i, j), transform, semantics)
+    u, v = (np.where(np.abs(x) > PRUNE_EPS, x, 0.0) for x in _detector_images(setting))
+    alpha = _PATTERNS @ np.abs(u) ** 2
+    beta = _PATTERNS @ np.abs(v) ** 2
+    gram = np.abs(_PATTERNS @ (u.conj() * v)) ** 2
+    n = np.arange(n_max + 1)
+    binom = np.array([[math.comb(a, k) for k in n] for a in n], dtype=float)
+    # row m holds x_T^m; 0^0 = 1 keeps the vacuum sector at Q_T = 1
+    a_pow, b_pow, g_pow = (x[None, :] ** n[:, None] for x in (alpha, beta, gram))
+    probs = np.zeros((n_max + 1, n_max + 1, len(_PATTERNS)))
+    for k in n:
+        rest = n[k:] - k
+        probs[k:, k:] += (
+            np.outer(binom[k:, k], binom[k:, k])[:, :, None]
+            * g_pow[k]
+            * a_pow[rest][:, None, :]
+            * b_pow[rest][None, :, :]
+        )
+    for bit in range(4):
+        fires = _PATTERNS[:, bit]
+        probs[:, :, fires] -= probs[:, :, ~fires]
+    np.maximum(probs, 0.0, out=probs)
+    registers = np.array([[_can_register(i, j, semantics) for j in n] for i in n])
+    possible = registers[:, :, None] & (_PATTERNS.sum(axis=1) <= np.add.outer(n, n)[:, :, None])
+    columns = slice(None) if semantics is CoincidenceSemantics.THRESHOLD else _CELL_PATTERNS
+    table = np.where(possible[:, :, columns], probs[:, :, columns], 0.0)
     table.setflags(write=False)
     return table
 

@@ -29,6 +29,10 @@ import numpy as np
 from .fock import AH, BV, DensityMixture, FockBasisState, StateVector
 
 
+#: The largest photon cutoff: the largest n whose n! a float holds.
+N_MAX_LIMIT = 170
+
+
 class BlockedArm(str, Enum):
     NONE = "none"
     BLOCK_A = "block_a"
@@ -54,8 +58,9 @@ class SourceSpec:
         object.__setattr__(self, "blocked", BlockedArm(self.blocked))
         if self.mu_a < 0 or self.mu_b < 0:
             raise ValueError("mean photon numbers must be non-negative")
-        if self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
+        if not 0 <= self.n_max <= N_MAX_LIMIT:
+            # poisson_pmf divides by n!, and 171! exceeds the float range
+            raise ValueError(f"n_max must lie in [0, {N_MAX_LIMIT}], got {self.n_max}")
 
     @property
     def effective_mu_a(self) -> float:

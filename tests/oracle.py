@@ -6,6 +6,9 @@ laws are closed forms derived by hand from projective measurement of the
 singlet and of the separable two-photon states, the Poisson-readout
 sampler simulates the coherent-state experiment one trial at a time, and the
 phase-node rule averages the same readout over the beams' phase difference.
+The one exception is oracle_fock_sector_table: it sends every sector through
+the library's Fock propagation, the reference for the closed-form sector
+tables the photon-number sampler reads.
 """
 
 from __future__ import annotations
@@ -15,7 +18,22 @@ import math
 
 import numpy as np
 
-from cohsh.fock import AH, AV, BH, BV, CH, CV, DH, DV, MODE_INDEX, FockBasisState, StateVector
+from cohsh import measurement
+from cohsh.elements import compose
+from cohsh.fock import (
+    AH,
+    AV,
+    BH,
+    BV,
+    CH,
+    CV,
+    DH,
+    DV,
+    MODE_INDEX,
+    FockBasisState,
+    StateVector,
+    basis_state,
+)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,6 +78,22 @@ def oracle_bs_expand(state: FockBasisState) -> StateVector:
         if abs(value) > 1e-14:
             terms[FockBasisState(occ)] = value
     return StateVector(terms)
+
+
+def oracle_fock_sector_table(setting, n_max, semantics) -> np.ndarray:
+    """Outcome rows of every sector |i_aH, j_bV>, i, j <= n_max, each propagated."""
+    transform = compose(measurement.RECOMBINER, measurement.analyzer_transform(setting))
+    return np.array(
+        [
+            [
+                measurement._outcome_probs(
+                    StateVector.from_basis(basis_state(aH=i, bV=j)), transform, semantics
+                )
+                for j in range(n_max + 1)
+            ]
+            for i in range(n_max + 1)
+        ]
+    )
 
 
 def oracle_singlet_E(alpha: float, beta: float) -> float:

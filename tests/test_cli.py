@@ -231,6 +231,7 @@ _QUAD = ("alpha", "alpha_prime", "beta", "beta_prime")
         ),
         (dict(output={"path": 5}), "output.path must be a string or null, got 5"),
         (dict(source={"blocked": "none"}), "unknown keys in source: ['blocked']"),
+        (dict(_MC, source={"n_max": 171}), "n_max must lie in [0, 170], got 171"),
     ],
 )
 def test_config_errors_name_the_section_and_the_key(tmp_path, capsys, overrides, message):
@@ -284,6 +285,24 @@ def test_cli_chsh_dump_tables(tmp_path):
     assert lines[0].startswith("setting_alpha,")
     assert len(lines) == 1 + 4 * 3  # four settings, three configurations
     assert sum(",block_a," in line for line in lines) == 4
+
+
+@pytest.mark.parametrize("target", ["out", "dump_tables", "empty_path"])
+def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
+    missing = str(tmp_path / "missing" / "file")
+    args = ["chsh", "--config", write_config(tmp_path)]
+    if target == "out":
+        args += ["--out", missing]
+    elif target == "dump_tables":
+        args += ["--out", str(tmp_path / "result.json"), "--dump-tables", missing]
+    else:
+        args = ["chsh", "--config", write_config(tmp_path, output={"path": ""})]
+        missing = ""
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing!r}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_no_violation_still_exits_zero(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 
 from cohsh import measurement
 from cohsh.chsh import subtract_background
-from cohsh.elements import compose
 from cohsh.fock import AH, BV, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
@@ -31,6 +30,7 @@ from cohsh.source import BlockedArm, SourceSpec, poisson_pmf, two_mode_input
 
 from oracle import (
     oracle_exact_one_one_table,
+    oracle_fock_sector_table,
     oracle_poisson_readout_counts,
     oracle_sector_tables,
 )
@@ -195,34 +195,84 @@ def test_outcome_table_memos_hold_one_table_per_configuration():
         assert builder.cache_info().maxsize == size
 
 
-def _full_sector_table(setting, n_max, semantics):
-    """Outcome rows of every sector |i_aH, j_bV>, each propagated."""
-    transform = compose(measurement.RECOMBINER, analyzer_transform(setting))
-    return np.array(
-        [
-            [
-                measurement._outcome_probs(
-                    StateVector.from_basis(basis_state(aH=i, bV=j)), transform, semantics
-                )
-                for j in range(n_max + 1)
-            ]
-            for i in range(n_max + 1)
-        ]
-    )
-
-
 def test_exact_one_one_registers_only_two_photon_sectors():
     """Photon number is conserved, so i + j != 2 never gives one photon per port."""
     semantics = CoincidenceSemantics.EXACT_ONE_ONE
     for alpha, beta in ((0.0, 0.0), (0.0, math.pi / 8), (0.3, 1.1), (2.0, -0.4)):
         setting = AnalyzerSetting(alpha, beta)
-        full = _full_sector_table(setting, 6, semantics)
+        full = oracle_fock_sector_table(setting, 6, semantics)
+        table = measurement._sector_table(setting, 6, semantics)
         for i in range(7):
             for j in range(7):
                 assert measurement._can_register(i, j, semantics) == (i + j == 2)
                 if i + j != 2:
                     assert not full[i, j].any(), (i, j)
-        assert np.array_equal(measurement._sector_table(setting, 6, semantics), full)
+                    assert not table[i, j].any(), (i, j)
+        # a closed form and a propagation agree to rounding, not bit for bit
+        assert np.abs(table - full).max() <= 1e-15
+
+
+_BELL_SETTINGS = tuple(
+    AnalyzerSetting(alpha, beta)
+    for alpha in (0.0, math.pi / 4)
+    for beta in (math.pi / 8, 3 * math.pi / 8)
+)
+_RANDOM_SETTINGS = tuple(
+    AnalyzerSetting(*angles)
+    for angles in np.random.default_rng(19).uniform(-4.0, 4.0, (2, 2)).tolist()
+)
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_sector_table_matches_the_fock_propagation(semantics):
+    """The closed-form sector rows are the propagated ones, to rounding."""
+    for setting in _BELL_SETTINGS + _RANDOM_SETTINGS:
+        table = measurement._sector_table(setting, 8, semantics)
+        reference = oracle_fock_sector_table(setting, 8, semantics)
+        assert np.abs(table - reference).max() <= 1e-14, setting
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_sector_table_rows_are_probabilities(semantics):
+    threshold = semantics is CoincidenceSemantics.THRESHOLD
+    for n_max in (0, 1, 2, 5, 8, 24):
+        for setting in _BELL_SETTINGS + _RANDOM_SETTINGS:
+            table = measurement._sector_table(setting, n_max, semantics)
+            assert table.shape == (n_max + 1, n_max + 1, 16 if threshold else 4)
+            assert (table >= 0.0).all()
+            if threshold:
+                # every sector fires some pattern, the vacuum the empty one
+                assert np.abs(table.sum(axis=2) - 1.0).max() <= 1e-14, (n_max, setting)
+
+
+def test_fock_outcome_table_sends_no_sector_through_the_optics(monkeypatch):
+    """Work-count guard: the sector tables are built in closed form."""
+    calls = []
+    original = measurement.apply
+
+    def counting_apply(transform, state):
+        calls.append(state)
+        return original(transform, state)
+
+    monkeypatch.setattr(measurement, "apply", counting_apply)
+    measurement._sector_table.cache_clear()
+    detector = DetectorModel(efficiency=0.6, semantics=CoincidenceSemantics.THRESHOLD)
+    table = fock_outcome_table(SourceSpec(0.1, 0.1, n_max=8), _BELL_SETTINGS[0], detector)
+    assert table.sum() == pytest.approx(1.0)
+    assert measurement._sector_table.cache_info().misses == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
+def test_outcome_table_builders_agree_at_a_deep_cutoff(semantics):
+    """Bright beams: at mu (1.0, 0.7) and n_max 24 the Poisson tail is below 1e-24."""
+    detector = DetectorModel(semantics=semantics)
+    for arm in BlockedArm:
+        spec = SourceSpec(1.0, 0.7, n_max=24, blocked=arm)
+        for setting in (_BELL_SETTINGS[1],) + _RANDOM_SETTINGS:
+            fock = fock_outcome_table(spec, setting, detector)
+            coherent = coherent_outcome_table(spec, setting, detector)
+            assert np.abs(fock - coherent).max() <= 1e-12, (arm, setting)
 
 
 @pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
@@ -230,7 +280,7 @@ def test_exact_rates_equals_sum_over_every_sector(semantics):
     """Each configuration's rates are bit-identical to the sum over every propagated sector."""
     detector = DetectorModel(visibility_eta=0.9, efficiency=0.7, semantics=semantics)
     setting = AnalyzerSetting(0.3, 1.1)
-    full = _full_sector_table(setting, 6, semantics)
+    full = oracle_fock_sector_table(setting, 6, semantics)
     for n_max in range(7):
         for mu_a, mu_b in ((0.3, 0.2), (0.0, 0.2), (0.3, 0.0)):
             spec = SourceSpec(mu_a, mu_b, n_max=n_max)

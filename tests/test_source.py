@@ -41,6 +41,11 @@ def test_poisson_pmf_normalization():
 def test_source_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(-0.1, 0.1)
+    # poisson_pmf divides by n!, which a float holds up to 170!
+    assert SourceSpec(0.1, 0.1, n_max=170).n_max == 170
+    for n_max in (-1, 171):
+        with pytest.raises(ValueError, match=r"n_max must lie in \[0, 170\]"):
+            SourceSpec(0.1, 0.1, n_max=n_max)
     spec = SourceSpec(0.1, 0.2, blocked=BlockedArm.BLOCK_B)
     assert spec.effective_mu_a == 0.1
     assert spec.effective_mu_b == 0.0
