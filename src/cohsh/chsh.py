@@ -122,19 +122,20 @@ def subtract_background(
     """
     if len(tables) != len(runs):
         raise ValueError(f"{len(tables)} tables for a protocol of {len(runs)} runs")
-    for field in ("alpha", "beta", "mu_a", "mu_b"):
-        _check_meta(field, *(getattr(t, field) for t in tables))
-    trials = {t.trials for t in tables if t.trials > 0}
+    alphas, betas, mus_a, mus_b, trial_numbers, marks = zip(
+        *[(t.alpha, t.beta, t.mu_a, t.mu_b, t.trials, t.blocked) for t in tables]
+    )
+    for field, values in (("alpha", alphas), ("beta", betas), ("mu_a", mus_a), ("mu_b", mus_b)):
+        _check_meta(field, *values)
+    trials = {n for n in trial_numbers if n > 0}
     if len(trials) > 1:
         raise ValueError(f"count tables have unequal trial numbers: {sorted(trials)}")
-    for table, (config, _) in zip(tables, runs):
-        if table.blocked is not None and table.blocked is not config.blocked:
-            raise ValueError(
-                f"table marked {table.blocked.value} used in the {config.blocked.value} slot"
-            )
+    for mark, (config, _) in zip(marks, runs):
+        if mark is not None and mark is not config.blocked:
+            raise ValueError(f"table marked {mark.value} used in the {config.blocked.value} slot")
     raw = sum(weight * table.values() for table, (_, weight) in zip(tables, runs))
     clamped = float(-raw[raw < 0].sum())
-    return tables[0].with_values(np.clip(raw, 0.0, None)), clamped
+    return tables[0].with_values(np.maximum(raw, 0.0)), clamped
 
 
 def correlation_E(c_table: CountTable) -> SubtractedCorrelation:

@@ -49,6 +49,14 @@ _PARTNER = {Port.A: Port.C, Port.B: Port.D, Port.C: Port.A, Port.D: Port.B}
 
 _FACT = [math.factorial(n) for n in range(40)]
 
+_IDENTITY = np.eye(N_MODES, dtype=complex)
+_IDENTITY.setflags(write=False)
+#: The (H, V) mode indices of each port.
+_PORT_MODES = {
+    port: (MODE_INDEX[ModeLabel(port, Polarization.H)], MODE_INDEX[ModeLabel(port, Polarization.V)])
+    for port in Port
+}
+
 
 @dataclass(frozen=True, eq=False)
 class ModeTransform:
@@ -132,20 +140,25 @@ def beam_splitter(
     return ModeTransform(m)
 
 
-def polarization_rotator(port: Port, angle: float) -> ModeTransform:
-    """Rotate the polarization basis within one port.
+def rotation_matrix(port: Port, angle: float) -> np.ndarray:
+    """The matrix of polarization_rotator(port, angle), as a plain array.
 
     H^dag -> cos(angle) H^dag + sin(angle) V^dag,
     V^dag -> -sin(angle) H^dag + cos(angle) V^dag; identity elsewhere.
     """
     c, s = math.cos(angle), math.sin(angle)
-    m = np.eye(N_MODES, dtype=complex)
-    h, v = MODE_INDEX[ModeLabel(port, Polarization.H)], MODE_INDEX[ModeLabel(port, Polarization.V)]
+    m = _IDENTITY.copy()
+    h, v = _PORT_MODES[port]
     m[h, h] = c
     m[v, h] = s
     m[h, v] = -s
     m[v, v] = c
-    return ModeTransform(m)
+    return m
+
+
+def polarization_rotator(port: Port, angle: float) -> ModeTransform:
+    """Rotate the polarization basis within one port (see rotation_matrix)."""
+    return ModeTransform(rotation_matrix(port, angle))
 
 
 def phase_shift(port: Port, phase: float) -> ModeTransform:

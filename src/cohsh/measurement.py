@@ -40,7 +40,10 @@ coherent amplitudes.  One sampler turns either into counts.  Each builder
 keeps one table per protocol configuration, read-only: the protocol draws a
 setting's configurations one repetition after another, so every repetition
 samples from the tables built for the first, and the next setting rebuilds
-them.
+them.  A setting costs one setup matrix (setup_transform multiplies the two
+analyzer rotations and the splitter once), and the coherent threshold
+tables of the blocked configurations, which have no interference term,
+evaluate a single phase node (see coherent_outcome_table).
 
 Monte Carlo determinism.  Every (setting, configuration, repetition) cell
 draws from its own SeedSequence-derived stream (derive_rng) and takes one
@@ -58,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import ModeTransform, apply, beam_splitter, compose, polarization_rotator
+from .elements import ModeTransform, apply, beam_splitter, rotation_matrix
 from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, PRUNE_EPS, Port, StateVector
 from .source import (
     BlockedArm,
@@ -70,6 +73,9 @@ from .source import (
 
 #: Seeds are 64-bit: derive_rng accepts exactly the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 2**64
+#: The samplers take trial numbers below TRIALS_LIMIT: Generator.multinomial
+#: reads the number of draws as a C long.
+TRIALS_LIMIT = 2**63
 
 #: Equispaced phase-difference nodes of coherent_outcome_table's trapezoidal
 #: rule for threshold tables (exact_one_one has a closed form).  It converges
@@ -78,6 +84,8 @@ SEED_LIMIT = 2**64
 PHASE_NODES = 64
 
 _DET_MODES = (MODE_INDEX[CH], MODE_INDEX[CV], MODE_INDEX[DH], MODE_INDEX[DV])
+#: _DET_MODES as an index array (numpy indexes faster with it than with a tuple or list).
+_DET_ROWS = np.array(_DET_MODES)
 #: Detector-mode column pairs (c-side, d-side) for the four cells.
 _CELL_COLUMNS = ((0, 2), (0, 3), (1, 2), (1, 3))
 #: Click patterns of the four detectors (bit k set: detector k fires) and the
@@ -86,8 +94,13 @@ _PATTERNS = np.array([[(p >> k) & 1 for k in range(4)] for p in range(16)], dtyp
 _PATTERN_CELLS = np.array(
     [[int(pattern[c] and pattern[d]) for c, d in _CELL_COLUMNS] for pattern in _PATTERNS]
 )
+#: Entry [k, p, 0]: whether pattern p fires detector k (broadcasts over phase nodes).
+_DETECTOR_FIRES = np.ascontiguousarray(_PATTERNS.T)[:, :, None]
 #: The click pattern of each cell's two detectors and no other.
 _CELL_PATTERNS = [(1 << c) | (1 << d) for c, d in _CELL_COLUMNS]
+#: The visibility relabel deals a replaced outcome to each cell with equal probability.
+_UNIFORM_CELLS = np.full(4, 0.25)
+_UNIFORM_CELLS.setflags(write=False)
 
 #: The recombining 50:50 splitter, a/b inputs onto c/d outputs.
 RECOMBINER = beam_splitter(Port.A, Port.B)
@@ -152,13 +165,14 @@ class CountTable:
 
     @classmethod
     def from_values(cls, values: np.ndarray, **meta) -> "CountTable":
-        pp, pm, mp, mm = (float(v) for v in values)
-        return cls(pp, pm, mp, mm, **meta)
+        return cls(*np.asarray(values, dtype=float).tolist(), **meta)
 
     def with_values(self, values: np.ndarray) -> "CountTable":
         """Copy with the four cells replaced and the metadata kept."""
-        pp, pm, mp, mm = (float(v) for v in values)
-        return replace(self, n_pp=pp, n_pm=pm, n_mp=mp, n_mm=mm)
+        pp, pm, mp, mm = np.asarray(values, dtype=float).tolist()
+        return CountTable(
+            pp, pm, mp, mm, self.trials, self.alpha, self.beta, self.mu_a, self.mu_b, self.blocked
+        )
 
     def values(self) -> np.ndarray:
         return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float)
@@ -183,21 +197,31 @@ def _fmt_number(x: float) -> str:
     return str(int(f)) if f.is_integer() else repr(f)
 
 
+def _analyzer_matrix(setting: AnalyzerSetting) -> np.ndarray:
+    """The port-c rotation followed by the port-d rotation, as one matrix.
+
+    The matrix of compose(polarization_rotator(Port.C, -alpha),
+    polarization_rotator(Port.D, -beta)), bit for bit; the rotations act on
+    disjoint blocks, so the product is exact.
+    """
+    return rotation_matrix(Port.D, -setting.beta) @ rotation_matrix(Port.C, -setting.alpha)
+
+
 def analyzer_transform(setting: AnalyzerSetting) -> ModeTransform:
     """Rotation by -alpha within port c and -beta within port d.
 
     After this transform the H mode of each output port is the "+" detector
     along the analyzer axis and the V mode is "-".
     """
-    return compose(
-        polarization_rotator(Port.C, -setting.alpha),
-        polarization_rotator(Port.D, -setting.beta),
-    )
+    return ModeTransform(_analyzer_matrix(setting))
 
 
 def setup_transform(setting: AnalyzerSetting) -> ModeTransform:
-    """The recombining splitter followed by the analyzers: inputs a, b to the detectors."""
-    return compose(RECOMBINER, analyzer_transform(setting))
+    """The recombining splitter followed by the analyzers: inputs a, b to the detectors.
+
+    One matrix product, bit for bit compose(RECOMBINER, analyzer_transform(setting)).
+    """
+    return ModeTransform(_analyzer_matrix(setting) @ RECOMBINER.matrix)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -301,10 +325,11 @@ def protocol(spec: SourceSpec, detector: DetectorModel) -> tuple[tuple[SourceSpe
         raise ValueError("protocol runs require an unblocked source spec")
     vetoed = detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE
     w_a, w_b = (-math.exp(-m) if vetoed else -1.0 for m in detected_means(spec, detector))
+    mu_a, mu_b, n_max = spec.mu_a, spec.mu_b, spec.n_max
     return (
         (spec, 1.0),
-        (replace(spec, blocked=BlockedArm.BLOCK_A), w_a),
-        (replace(spec, blocked=BlockedArm.BLOCK_B), w_b),
+        (SourceSpec(mu_a, mu_b, n_max, BlockedArm.BLOCK_A), w_a),
+        (SourceSpec(mu_a, mu_b, n_max, BlockedArm.BLOCK_B), w_b),
     )
 
 
@@ -361,7 +386,7 @@ def _run_table(
 def _detector_images(setting: AnalyzerSetting) -> tuple[np.ndarray, np.ndarray]:
     """The aH and bV columns of the setup on the four detector modes."""
     total = setup_transform(setting).matrix
-    return total[list(_DET_MODES), MODE_INDEX[AH]], total[list(_DET_MODES), MODE_INDEX[BV]]
+    return total[_DET_ROWS, MODE_INDEX[AH]], total[_DET_ROWS, MODE_INDEX[BV]]
 
 
 @lru_cache(maxsize=len(BlockedArm))
@@ -385,8 +410,17 @@ def coherent_outcome_table(
         exp(-(m_a + m_b + 4 dark)) [(b_c + dark)(b_d + dark) + Re(x_c conj(x_d)) / 2].
 
     Threshold averages by the trapezoidal rule on PHASE_NODES equispaced
-    nodes.  The memo keeps one table per protocol configuration (see the
-    module docstring); read-only.
+    nodes.  At each node the 16 pattern probabilities are products of the
+    four detectors' click (1 - e^{-m_k}) or no-click (e^{-m_k}) factors,
+    multiplied in detector order, and each pattern's nodes are summed
+    exactly (math.fsum).  When x is identically zero (an arm blocked or a
+    mean 0) the integrand does not depend on delta, so one node is
+    evaluated: the exact sum of PHASE_NODES equal doubles is that double
+    times a power of two, so averaging them returns the node's value, and
+    the table is bit for bit the one of the full rule.  The nodes are
+    built from PHASE_NODES on every call, so raising it refines the rule.
+    The memo keeps one table per protocol configuration (see the module
+    docstring); read-only.
     """
     u, v = _detector_images(setting)
     m_a, m_b = detected_means(spec, detector)
@@ -399,19 +433,24 @@ def coherent_outcome_table(
         pair = mean[c_cols] * mean[d_cols] + 0.5 * (cross[c_cols] * cross[d_cols].conj()).real
         table = math.exp(-(m_a + m_b + 4.0 * dark)) * pair
     else:
-        delta = 2.0 * math.pi * np.arange(PHASE_NODES) / PHASE_NODES
-        intensity = (
-            base[None, :]
-            + np.cos(delta)[:, None] * cross.real[None, :]
-            - np.sin(delta)[:, None] * cross.imag[None, :]
-        )
+        # intensity[k, n]: detector k at node n; without interference one node stands for all
+        if cross.any():
+            delta = 2.0 * math.pi * np.arange(PHASE_NODES) / PHASE_NODES
+            intensity = (
+                base[:, None]
+                + cross.real[:, None] * np.cos(delta)
+                - cross.imag[:, None] * np.sin(delta)
+            )
+        else:
+            intensity = base[:, None]
         # fully destructive interference can round to -1e-19
-        np.maximum(intensity, 0.0, out=intensity)
-        means = intensity + dark
+        means = np.maximum(intensity, 0.0) + dark
         fired, silent = -np.expm1(-means), np.exp(-means)
-        patterns = np.where(_PATTERNS[None, :, :], fired[:, None, :], silent[:, None, :])
+        factor = np.where(_DETECTOR_FIRES, fired[:, None, :], silent[:, None, :])
+        # row p of the product: pattern p at every node, multiplied in detector order
+        patterns = factor[0] * factor[1] * factor[2] * factor[3]
         # an exactly rounded sum keeps the average as accurate as the node values
-        table = np.array([math.fsum(column) for column in patterns.prod(axis=2).T]) / PHASE_NODES
+        table = np.array(list(map(math.fsum, patterns.tolist()))) / means.shape[1]
     table.setflags(write=False)
     return table
 
@@ -524,8 +563,10 @@ def _sample_counts(
         cells = _finalize_cells(table, detector)
         return rng.multinomial(trials, np.append(cells, max(0.0, 1.0 - cells.sum())))[:4]
     counts = rng.multinomial(trials, table) @ _PATTERN_CELLS
-    flipped = rng.binomial(counts, 1.0 - detector.visibility_eta)
-    return counts - flipped + rng.multinomial(flipped.sum(), [0.25] * 4)
+    # cell by cell, as the array call draws them, without its per-call argument checks
+    p_flip = 1.0 - detector.visibility_eta
+    flipped = np.array([rng.binomial(n, p_flip) for n in counts.tolist()])
+    return counts - flipped + rng.multinomial(flipped.sum(), _UNIFORM_CELLS)
 
 
 def _sampled_table(
@@ -538,6 +579,8 @@ def _sampled_table(
 ) -> CountTable:
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials >= TRIALS_LIMIT:
+        raise ValueError(f"trials must be at most 2**63 - 1, got {trials}")
     counts = _sample_counts(builder(spec, setting, detector), detector, trials, rng)
     return _run_table(counts, spec, setting, trials)
 

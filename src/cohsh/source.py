@@ -72,12 +72,21 @@ class SourceSpec:
 
 
 def poisson_pmf(mu: float, n: int) -> float:
-    """P(n; mu) = mu^n e^{-mu} / n!"""
+    """P(n; mu) = mu^n e^{-mu} / n!
+
+    Where mu^n or n! overflows a float, the weight is taken in log space,
+    exp(n log mu - mu - lgamma(n + 1)); every value the direct formula
+    returns is kept as it is.
+    """
     if mu < 0:
         raise ValueError("mu must be non-negative")
     if n < 0:
         raise ValueError("n must be non-negative")
-    return mu**n * math.exp(-mu) / math.factorial(n)
+    try:
+        return mu**n * math.exp(-mu) / math.factorial(n)
+    except OverflowError:
+        # mu = 0 lands here only through an n! beyond the float range
+        return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1)) if mu > 0 else 0.0
 
 
 def _truncated_weights(mu: float, n_max: int) -> np.ndarray:

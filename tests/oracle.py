@@ -96,6 +96,37 @@ def oracle_fock_sector_table(setting, n_max, semantics) -> np.ndarray:
     )
 
 
+def oracle_coherent_threshold_table(spec, setting, detector) -> np.ndarray:
+    """The 16 click-pattern probabilities of coherent threshold readout, node by node.
+
+    The phase rule of coherent_outcome_table as it first stood: the detector
+    images from the composed elements, every one of the 64 nodes evaluated
+    whatever the means, one (node, pattern, detector) array of click
+    factors multiplied out along the detectors, and an exactly rounded sum
+    over the nodes of each pattern.
+    """
+    total = compose(measurement.RECOMBINER, measurement.analyzer_transform(setting)).matrix
+    rows = [MODE_INDEX[mode] for mode in (CH, CV, DH, DV)]
+    u, v = total[rows, MODE_INDEX[AH]], total[rows, MODE_INDEX[BV]]
+    m_a = detector.efficiency * spec.effective_mu_a
+    m_b = detector.efficiency * spec.effective_mu_b
+    base = m_a * np.abs(u) ** 2 + m_b * np.abs(v) ** 2
+    cross = 2.0 * math.sqrt(m_a * m_b) * (u * v.conj())
+    nodes = 64
+    delta = 2.0 * math.pi * np.arange(nodes) / nodes
+    intensity = (
+        base[None, :]
+        + np.cos(delta)[:, None] * cross.real[None, :]
+        - np.sin(delta)[:, None] * cross.imag[None, :]
+    )
+    np.maximum(intensity, 0.0, out=intensity)
+    means = intensity + detector.dark_rate
+    fired, silent = -np.expm1(-means), np.exp(-means)
+    patterns = np.array([[(p >> k) & 1 for k in range(4)] for p in range(16)], dtype=bool)
+    factors = np.where(patterns[None, :, :], fired[:, None, :], silent[:, None, :])
+    return np.array([math.fsum(column) for column in factors.prod(axis=2).T]) / nodes
+
+
 def oracle_singlet_E(alpha: float, beta: float) -> float:
     """Singlet correlation law, E = -cos 2(alpha - beta)."""
     return -math.cos(2.0 * (alpha - beta))

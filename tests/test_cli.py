@@ -232,6 +232,8 @@ _QUAD = ("alpha", "alpha_prime", "beta", "beta_prime")
         (dict(output={"path": 5}), "output.path must be a string or null, got 5"),
         (dict(source={"blocked": "none"}), "unknown keys in source: ['blocked']"),
         (dict(_MC, source={"n_max": 171}), "n_max must lie in [0, 170], got 171"),
+        (dict(_MC, trials=1e19), "trials must be at most 2**63 - 1, got 10000000000000000000"),
+        (dict(_MC, trials=2**63), "trials must be at most 2**63 - 1, got 9223372036854775808"),
     ],
 )
 def test_config_errors_name_the_section_and_the_key(tmp_path, capsys, overrides, message):
@@ -302,6 +304,18 @@ def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {missing!r}: ")
     assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_bright_fock_run_ends_without_a_traceback(tmp_path, capsys):
+    """mu^n overflows a float at mu 1000 and n 103; the Poisson weights stay finite."""
+    path = write_config(
+        tmp_path, mode="mc_fock", seed=1, source={"mu_a": 1000.0, "mu_b": 1.0, "n_max": 170}
+    )
+    status = main(["chsh", "--config", path])
+    err = capsys.readouterr().err
+    assert status in (0, 2)
+    assert err.count("\n") == (status == 2)
     assert "Traceback" not in err
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from cohsh import measurement
 from cohsh.chsh import subtract_background
-from cohsh.fock import AH, BV, StateVector, basis_state
+from cohsh.elements import compose, polarization_rotator
+from cohsh.fock import AH, BV, Port, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
     CoincidenceSemantics,
@@ -29,6 +30,7 @@ from cohsh.measurement import (
 from cohsh.source import BlockedArm, SourceSpec, poisson_pmf, two_mode_input
 
 from oracle import (
+    oracle_coherent_threshold_table,
     oracle_exact_one_one_table,
     oracle_fock_sector_table,
     oracle_poisson_readout_counts,
@@ -46,6 +48,7 @@ def configuration_rates(spec, setting, detector) -> CountTable:
 
 
 EXACT = CoincidenceSemantics.EXACT_ONE_ONE
+THRESHOLD = CoincidenceSemantics.THRESHOLD
 
 
 def one_one_probs(state: StateVector, transform) -> np.ndarray:
@@ -592,6 +595,83 @@ def test_threshold_quadrature_is_converged(monkeypatch):
         doubled = coherent_outcome_table(spec, setting, detector)
         assert np.abs(doubled - table).max() <= 1e-15
         assert table.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_threshold_table_is_bit_identical_to_the_full_phase_rule():
+    """Neither the one-node rule nor the per-detector product moves a bit of any table."""
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for arm in BlockedArm:
+        for dark in (0.0, 1e-3, 0.05):
+            for _ in range(40):
+                # from 1e-4 to 10, so the interference term spans faint to dominant
+                mu_a, mu_b = 10.0 ** rng.uniform(-4.0, 1.0, size=2)
+                spec = SourceSpec(float(mu_a), float(mu_b), blocked=arm)
+                setting = AnalyzerSetting(*rng.uniform(-math.pi, math.pi, size=2).tolist())
+                detector = DetectorModel(
+                    efficiency=float(rng.uniform(0.3, 1.0)), semantics=THRESHOLD, dark_rate=dark
+                )
+                table = coherent_outcome_table(spec, setting, detector)
+                reference = oracle_coherent_threshold_table(spec, setting, detector)
+                assert np.array_equal(table, reference), (spec, setting, detector)
+                cases += 1
+    assert cases >= 300
+
+
+def test_setup_transform_is_the_composed_elements_bit_for_bit():
+    rng = np.random.default_rng(7)
+    angles = [(0.0, 0.0), (0.0, math.pi / 8), (math.pi / 4, 3 * math.pi / 8), (-2.0, 0.4)]
+    angles += [tuple(rng.uniform(-4.0, 4.0, size=2).tolist()) for _ in range(100)]
+    for alpha, beta in angles:
+        setting = AnalyzerSetting(alpha, beta)
+        rotations = compose(
+            polarization_rotator(Port.C, -alpha), polarization_rotator(Port.D, -beta)
+        )
+        composed = compose(measurement.RECOMBINER, rotations).matrix
+        # as uint64 the comparison sees signed zeros too, which dump-transform prints
+        for ours, reference in (
+            (setup_transform(setting), composed),
+            (analyzer_transform(setting), rotations.matrix),
+        ):
+            assert np.array_equal(ours.matrix.view(np.uint64), reference.view(np.uint64))
+
+
+def test_threshold_table_without_interference_is_the_product_of_click_probabilities():
+    """With one beam dark the phase plays no part: each detector clicks independently."""
+    for spec in (
+        SourceSpec(1.3, 0.4, blocked=BlockedArm.BLOCK_A),
+        SourceSpec(1.3, 0.4, blocked=BlockedArm.BLOCK_B),
+        SourceSpec(0.0, 2.5),
+        SourceSpec(7.0, 0.0),
+    ):
+        for setting in (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(2.0, -0.4)):
+            for efficiency, dark in ((1.0, 0.0), (0.6, 1e-3), (0.35, 0.05)):
+                detector = DetectorModel(
+                    efficiency=efficiency, semantics=THRESHOLD, dark_rate=dark
+                )
+                m_a, m_b = measurement.detected_means(spec, detector)
+                u, v = measurement._detector_images(setting)
+                mean, image = (m_a, u) if m_a > 0.0 else (m_b, v)
+                means = mean * np.abs(image) ** 2 + dark
+                fires, silent = (-np.expm1(-means)).tolist(), np.exp(-means).tolist()
+                expected = [
+                    math.prod(fires[k] if (p >> k) & 1 else silent[k] for k in range(4))
+                    for p in range(16)
+                ]
+                table = coherent_outcome_table(spec, setting, detector)
+                assert table.tolist() == expected, (spec, setting, detector)
+
+
+@pytest.mark.parametrize("runner", [run_montecarlo_fock, run_montecarlo_coherent])
+def test_samplers_take_trial_numbers_up_to_a_c_long(runner):
+    spec, setting = SourceSpec(0.1, 0.1), AnalyzerSetting(0.0, math.pi / 8)
+    most = measurement.TRIALS_LIMIT - 1
+    assert most == 2**63 - 1
+    table = runner(spec, setting, IDEAL, most, np.random.default_rng(3))
+    assert table.trials == most
+    for trials in (2**63, 10**19):
+        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*63 - 1"):
+            runner(spec, setting, IDEAL, trials, np.random.default_rng(3))
 
 
 def test_exact_one_one_closed_form_matches_the_phase_node_rule():

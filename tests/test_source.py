@@ -38,6 +38,26 @@ def test_poisson_pmf_normalization():
         assert sum(poisson_pmf(mu, n) for n in range(41)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_poisson_pmf_takes_the_log_form_where_the_direct_one_overflows():
+    overflowing = 0
+    for mu in (0.0, 0.05, 1.0, 30.0, 170.0, 1000.0):
+        for n in range(171):
+            try:
+                direct = mu**n * math.exp(-mu) / math.factorial(n)
+            except OverflowError:  # 1000**103 exceeds the float range
+                overflowing += 1
+                assert math.isfinite(poisson_pmf(mu, n))
+                continue
+            assert poisson_pmf(mu, n) == direct  # bit for bit
+    assert overflowing > 0
+    weights = [poisson_pmf(1000.0, n) for n in range(3001)]
+    assert all(math.isfinite(w) for w in weights)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-9)
+    # P(1000; 1000) = e^-1000 1000^1000 / 1000!
+    assert poisson_pmf(1000.0, 1000) == pytest.approx(0.0126146113487, rel=1e-11)
+    assert poisson_pmf(0.0, 171) == 0.0  # 171! is beyond the float range
+
+
 def test_source_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(-0.1, 0.1)
