@@ -19,8 +19,10 @@ deterministic for a fixed config and seed, independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -115,18 +117,20 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     """The config file, or the defaults, with the given flags laid over it.
 
     The flags go through the config parser, so a flag value and a file value
-    meet the same checks; a run without flags is parsed once, at load.
+    meet the same checks; a run without flags is parsed once, at load.  The
+    output paths are checked here, before any run (see _refuse_unwritable).
     """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     top = {k: getattr(args, k) for k in ("seed", "mode", "trials", "repetitions", "workers")}
     top = {k: v for k, v in top.items() if v is not None}
     output = {k: v for k, v in (("path", args.out), ("format", args.format)) if v is not None}
-    if not (top or output):
-        return cfg
-    doc = cfg.to_json_dict()
-    doc.update(top)
-    doc["output"].update(output)
-    return ExperimentConfig.from_json_dict(doc)
+    if top or output:
+        doc = cfg.to_json_dict()
+        doc.update(top)
+        doc["output"].update(output)
+        cfg = ExperimentConfig.from_json_dict(doc)
+    _refuse_unwritable(cfg.out_path, getattr(args, "dump_tables", None))
+    return cfg
 
 
 def _load_json_only(args: argparse.Namespace) -> ExperimentConfig:
@@ -139,6 +143,25 @@ def _load_json_only(args: argparse.Namespace) -> ExperimentConfig:
 
 class OutputError(Exception):
     """An output file that cannot be written."""
+
+
+def _refuse_unwritable(*paths: str | None) -> None:
+    """Refuse an output path that is a directory or lies in a missing one.
+
+    The message is the one _emit gives when the write fails, and no file is
+    created.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.is_dir():
+            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise OutputError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -6,7 +6,7 @@ Keys, all optional:
     detector     visibility_eta, efficiency, dark_rate,
                  coincidence_semantics (exact_one_one | threshold)
     mode         exact | mc_fock | mc_coherent
-    trials       per configuration per setting; at most 2**63 - 1
+    trials       per configuration per setting; at most 2**60 - 1
     repetitions
     angles       quad: {alpha, alpha_prime, beta, beta_prime};
                  sweep: [theta, ...] or {start, stop, points}
@@ -41,7 +41,13 @@ from typing import Any, Mapping
 import numpy as np
 
 from .chsh import BELL_TEST_ANGLES, RunMode
-from .measurement import SEED_LIMIT, TRIALS_LIMIT, CoincidenceSemantics, DetectorModel
+from .measurement import (
+    SEED_LIMIT,
+    TRIALS_LIMIT,
+    CoincidenceSemantics,
+    DetectorModel,
+    too_many_trials,
+)
 from .source import SourceSpec
 
 
@@ -76,7 +82,7 @@ class ExperimentConfig:
         if self.seed is not None and not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.trials >= TRIALS_LIMIT:
-            raise ConfigError(f"trials must be at most 2**63 - 1, got {self.trials}")
+            raise ConfigError(too_many_trials(self.trials))
         if self.mode is not RunMode.EXACT:
             if self.trials < 1:
                 raise ConfigError(f"mode {self.mode.value} needs trials >= 1")

@@ -9,10 +9,10 @@ Table units.  Exact-mode tables are per-trial probabilities: the outcome
 distribution of one configuration that the Monte Carlo samplers draw their
 counts from, so exact mode is the infinite-trial limit of Monte Carlo.  Exact
 mode propagates each sector |i_aH, j_bV> that can register (i + j = 2 for
-exact_one_one) once per setting, for all three configurations, and weights
-its row by the Poisson weight P(i; m_a) P(j; m_b) of the configuration's
-detected means m (see Detector model).  For exact_one_one this is the
-two-photon decomposition
+exact_one_one) once per setting, reads its 16 click patterns as the sampler
+reads _sector_table (_outcome_columns), and weights the row by the Poisson
+weight P(i; m_a) P(j; m_b) of each configuration's detected means m (see
+Detector model).  For exact_one_one this is the two-photon decomposition
 
     N_ij = e^{-m_a-m_b} [m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)],
 
@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import ModeTransform, apply, beam_splitter, rotation_matrix
+from .elements import _FACT, ModeTransform, apply, beam_splitter, rotation_matrix
 from .fock import AH, BV, CH, CV, DH, DV, MODE_INDEX, PRUNE_EPS, Port, StateVector
 from .source import (
     BlockedArm,
@@ -73,9 +73,14 @@ from .source import (
 
 #: Seeds are 64-bit: derive_rng accepts exactly the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 2**64
-#: The samplers take trial numbers below TRIALS_LIMIT: Generator.multinomial
-#: reads the number of draws as a C long.
-TRIALS_LIMIT = 2**63
+#: The samplers take trial numbers below TRIALS_LIMIT.  Generator draws read
+#: their counts as a C long (below 2**63), and under threshold a cell can
+#: reach 5 * trials: a trial registers up to four cells, and the visibility
+#: relabel can deal every replaced event to one cell.
+TRIALS_LIMIT = 2**60
+#: Exact threshold propagates sectors of up to 2 n_max photons, which can all
+#: land in one detector mode, and elements.apply tabulates n! below len(_FACT).
+EXACT_THRESHOLD_N_MAX = (len(_FACT) - 1) // 2
 
 #: Equispaced phase-difference nodes of coherent_outcome_table's trapezoidal
 #: rule for threshold tables (exact_one_one has a closed form).  It converges
@@ -84,6 +89,7 @@ TRIALS_LIMIT = 2**63
 PHASE_NODES = 64
 
 _DET_MODES = (MODE_INDEX[CH], MODE_INDEX[CV], MODE_INDEX[DH], MODE_INDEX[DV])
+_C_H, _C_V, _D_H, _D_V = _DET_MODES
 #: _DET_MODES as an index array (numpy indexes faster with it than with a tuple or list).
 _DET_ROWS = np.array(_DET_MODES)
 #: Detector-mode column pairs (c-side, d-side) for the four cells.
@@ -96,8 +102,9 @@ _PATTERN_CELLS = np.array(
 )
 #: Entry [k, p, 0]: whether pattern p fires detector k (broadcasts over phase nodes).
 _DETECTOR_FIRES = np.ascontiguousarray(_PATTERNS.T)[:, :, None]
-#: The click pattern of each cell's two detectors and no other.
-_CELL_PATTERNS = [(1 << c) | (1 << d) for c, d in _CELL_COLUMNS]
+#: Every click pattern, and the pattern of each cell's two detectors and no other.
+_ALL_PATTERNS = np.arange(len(_PATTERNS))
+_CELL_PATTERNS = np.array([(1 << c) | (1 << d) for c, d in _CELL_COLUMNS])
 #: The visibility relabel deals a replaced outcome to each cell with equal probability.
 _UNIFORM_CELLS = np.full(4, 0.25)
 _UNIFORM_CELLS.setflags(write=False)
@@ -224,6 +231,11 @@ def setup_transform(setting: AnalyzerSetting) -> ModeTransform:
     return ModeTransform(_analyzer_matrix(setting) @ RECOMBINER.matrix)
 
 
+def too_many_trials(trials: int) -> str:
+    """The refusal of a trial number at or above TRIALS_LIMIT."""
+    return f"trials must be at most 2**{TRIALS_LIMIT.bit_length() - 1} - 1, got {trials}"
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent child stream for (seed, key).
 
@@ -238,23 +250,19 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _classify_exact(occ: tuple[int, ...]) -> int | None:
-    """Cell index for exactly-one-photon-per-output events, else None."""
-    if occ[0] or occ[1] or occ[2] or occ[3]:
-        return None
-    nc_h, nc_v, nd_h, nd_v = occ[4], occ[5], occ[6], occ[7]
-    if nc_h + nc_v != 1 or nd_h + nd_v != 1:
-        return None
-    return (0 if nc_h else 2) + (0 if nd_h else 1)
-
-
 def _click_pattern(occ: tuple[int, ...]) -> int:
     """Index of the detectors that see at least one photon (bit k: detector k)."""
-    return sum(1 << k for k, mode in enumerate(_DET_MODES) if occ[mode])
+    return (
+        (1 if occ[_C_H] else 0)
+        | (2 if occ[_C_V] else 0)
+        | (4 if occ[_D_H] else 0)
+        | (8 if occ[_D_V] else 0)
+    )
 
 
-def _empty_outcomes(semantics: CoincidenceSemantics) -> np.ndarray:
-    return np.zeros(4 if semantics is CoincidenceSemantics.EXACT_ONE_ONE else len(_PATTERNS))
+def _outcome_columns(semantics: CoincidenceSemantics) -> np.ndarray:
+    """The click patterns a table of ``semantics`` keeps: all 16, or each cell's (c, d) pair."""
+    return _ALL_PATTERNS if semantics is CoincidenceSemantics.THRESHOLD else _CELL_PATTERNS
 
 
 def _can_register(i: int, j: int, semantics: CoincidenceSemantics) -> bool:
@@ -267,21 +275,11 @@ def _can_register(i: int, j: int, semantics: CoincidenceSemantics) -> bool:
     return semantics is CoincidenceSemantics.THRESHOLD or i + j == 2
 
 
-def _outcome_probs(
-    state: StateVector, transform: ModeTransform, semantics: CoincidenceSemantics
-) -> np.ndarray:
-    """Outcome probabilities of one pure state, before detector effects.
-
-    The layout of every outcome table: the four cells for exact_one_one, the
-    16 click patterns for threshold.
-    """
-    probs = _empty_outcomes(semantics)
+def _outcome_probs(state: StateVector, transform: ModeTransform) -> np.ndarray:
+    """The 16 click-pattern probabilities of one pure state, before detector effects."""
+    probs = np.zeros(len(_PATTERNS))
     for bstate, amp in apply(transform, state).items():
-        p = amp.real * amp.real + amp.imag * amp.imag
-        if semantics is CoincidenceSemantics.THRESHOLD:
-            probs[_click_pattern(bstate.occ)] += p
-        elif (cell := _classify_exact(bstate.occ)) is not None:
-            probs[cell] += p
+        probs[_click_pattern(bstate.occ)] += amp.real * amp.real + amp.imag * amp.imag
     return probs
 
 
@@ -341,27 +339,34 @@ def exact_rates(
     Each sector that can register is propagated once, and each configuration
     weights its row by the Poisson weight of its own detected means (see the
     module docstring).  exact_one_one, which registers only i + j == 2, asks
-    the source for i, j <= 2 alone.  Dark counts are not modeled here; use
-    the coherent sampler for that.
+    the source for i, j <= 2 alone; threshold refuses n_max above
+    EXACT_THRESHOLD_N_MAX.  Dark counts are not modeled here; use the
+    coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
+    if detector.semantics is CoincidenceSemantics.THRESHOLD and spec.n_max > EXACT_THRESHOLD_N_MAX:
+        raise ValueError(
+            f"source.n_max must be at most {EXACT_THRESHOLD_N_MAX} for exact threshold runs, "
+            f"got {spec.n_max}; use mc_fock"
+        )
     runs = protocol(spec, detector)
     n_max = spec.n_max
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
         n_max = min(n_max, 2)
     mixture, _ = two_mode_input(replace(spec, n_max=n_max))
     transform = setup_transform(setting)
+    columns = _outcome_columns(detector.semantics)
     rows = []
     for _, component in mixture.components:
         (bstate, _), = component.items()
         i, j = bstate.count(AH), bstate.count(BV)
         if _can_register(i, j, detector.semantics):
-            rows.append((i, j, _outcome_probs(component, transform, detector.semantics)))
+            rows.append((i, j, _outcome_probs(component, transform)[columns]))
     tables = []
     for variant, _ in runs:
         m_a, m_b = detected_means(variant, detector)
-        outcomes = _empty_outcomes(detector.semantics)
+        outcomes = np.zeros(len(columns))
         for i, j, probs in rows:
             outcomes += poisson_pmf(m_a, i) * poisson_pmf(m_b, j) * probs
         tables.append(_run_table(_finalize_cells(outcomes, detector), variant, setting, 0))
@@ -469,7 +474,14 @@ def fock_outcome_table(
     """
     if detector.dark_rate > 0.0:
         raise ValueError("dark counts are only modeled in the coherent sampler")
-    w_a, w_b = (_truncated_weights(m, spec.n_max) for m in detected_means(spec, detector))
+    means = detected_means(spec, detector)
+    w_a, w_b = (_truncated_weights(m, spec.n_max) for m in means)
+    for m, w in zip(means, (w_a, w_b)):
+        if not w.sum() > 0.0:
+            raise ValueError(
+                f"detected mean {m:g}: every Poisson weight up to source.n_max = "
+                f"{spec.n_max} underflows to 0; use mc_coherent"
+            )
     sectors = _sector_table(setting, spec.n_max, detector.semantics)
     table = np.einsum("i,j,ijk->k", w_a / w_a.sum(), w_b / w_b.sum(), sectors)
     table.setflags(write=False)
@@ -541,7 +553,7 @@ def _sector_table(
     np.maximum(probs, 0.0, out=probs)
     registers = np.array([[_can_register(i, j, semantics) for j in n] for i in n])
     possible = registers[:, :, None] & (_PATTERNS.sum(axis=1) <= np.add.outer(n, n)[:, :, None])
-    columns = slice(None) if semantics is CoincidenceSemantics.THRESHOLD else _CELL_PATTERNS
+    columns = _outcome_columns(semantics)
     table = np.where(possible[:, :, columns], probs[:, :, columns], 0.0)
     table.setflags(write=False)
     return table
@@ -580,7 +592,7 @@ def _sampled_table(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials >= TRIALS_LIMIT:
-        raise ValueError(f"trials must be at most 2**63 - 1, got {trials}")
+        raise ValueError(too_many_trials(trials))
     counts = _sample_counts(builder(spec, setting, detector), detector, trials, rng)
     return _run_table(counts, spec, setting, trials)
 

@@ -6,9 +6,12 @@ laws are closed forms derived by hand from projective measurement of the
 singlet and of the separable two-photon states, the Poisson-readout
 sampler simulates the coherent-state experiment one trial at a time, and the
 phase-node rule averages the same readout over the beams' phase difference.
-The one exception is oracle_fock_sector_table: it sends every sector through
-the library's Fock propagation, the reference for the closed-form sector
-tables the photon-number sampler reads.
+The one exception is oracle_fock_sector_table, the reference for the
+closed-form sector tables the photon-number sampler reads and for the rows
+exact mode sums.  It shares elements.apply with the library, applied to
+the library's splitter and analyzer elements composed, and classifies each
+output term by its own occupation rules (oracle_one_photon_per_port,
+oracle_click_pattern).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from cohsh import measurement
-from cohsh.elements import compose
+from cohsh.elements import apply, compose
 from cohsh.fock import (
     AH,
     AV,
@@ -80,20 +83,36 @@ def oracle_bs_expand(state: FockBasisState) -> StateVector:
     return StateVector(terms)
 
 
+def oracle_one_photon_per_port(occ: tuple[int, ...]) -> int | None:
+    """The (++, +-, -+, --) cell of one photon at port c, one at port d and none elsewhere."""
+    n_cp, n_cm, n_dp, n_dm = (occ[MODE_INDEX[mode]] for mode in (CH, CV, DH, DV))
+    if sum(occ) == 2 and n_cp + n_cm == 1 and n_dp + n_dm == 1:
+        return 2 * n_cm + n_dm
+    return None
+
+
+def oracle_click_pattern(occ: tuple[int, ...]) -> int:
+    """The detectors c+, c-, d+, d- that see a photon, as bits 0 to 3."""
+    return sum(1 << k for k, mode in enumerate((CH, CV, DH, DV)) if occ[MODE_INDEX[mode]] > 0)
+
+
 def oracle_fock_sector_table(setting, n_max, semantics) -> np.ndarray:
-    """Outcome rows of every sector |i_aH, j_bV>, i, j <= n_max, each propagated."""
+    """Outcome rows of every sector |i_aH, j_bV>, i, j <= n_max, each propagated.
+
+    The four exact_one_one cells, or the 16 threshold click patterns, each
+    summed over the output terms in elements.apply's order.
+    """
     transform = compose(measurement.RECOMBINER, measurement.analyzer_transform(setting))
-    return np.array(
-        [
-            [
-                measurement._outcome_probs(
-                    StateVector.from_basis(basis_state(aH=i, bV=j)), transform, semantics
-                )
-                for j in range(n_max + 1)
-            ]
-            for i in range(n_max + 1)
-        ]
-    )
+    threshold = semantics is measurement.CoincidenceSemantics.THRESHOLD
+    classify = oracle_click_pattern if threshold else oracle_one_photon_per_port
+    table = np.zeros((n_max + 1, n_max + 1, 16 if threshold else 4))
+    for i in range(n_max + 1):
+        for j in range(n_max + 1):
+            state = StateVector.from_basis(basis_state(aH=i, bV=j))
+            for bstate, amp in apply(transform, state).items():
+                if (slot := classify(bstate.occ)) is not None:
+                    table[i, j, slot] += amp.real * amp.real + amp.imag * amp.imag
+    return table
 
 
 def oracle_coherent_threshold_table(spec, setting, detector) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohsh import cli
+from cohsh import cli, measurement
 from cohsh.cli import build_parser, main, validation_checks
 from cohsh.config import ConfigError, ExperimentConfig, RunMode, load_config
 from cohsh.fock import MODES
@@ -191,6 +191,9 @@ def test_config_accepts_whole_number_floats(tmp_path):
 
 
 _QUAD = ("alpha", "alpha_prime", "beta", "beta_prime")
+_THRESHOLD = {"coincidence_semantics": "threshold"}
+#: Threshold counting with half the events relabeled: a cell can reach 5 * trials.
+_RELABELED = dict(_THRESHOLD, visibility_eta=0.5)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +235,12 @@ _QUAD = ("alpha", "alpha_prime", "beta", "beta_prime")
         (dict(output={"path": 5}), "output.path must be a string or null, got 5"),
         (dict(source={"blocked": "none"}), "unknown keys in source: ['blocked']"),
         (dict(_MC, source={"n_max": 171}), "n_max must lie in [0, 170], got 171"),
-        (dict(_MC, trials=1e19), "trials must be at most 2**63 - 1, got 10000000000000000000"),
-        (dict(_MC, trials=2**63), "trials must be at most 2**63 - 1, got 9223372036854775808"),
+        (dict(_MC, trials=1e19), "trials must be at most 2**60 - 1, got 10000000000000000000"),
+        (dict(_MC, trials=2**60), "trials must be at most 2**60 - 1, got 1152921504606846976"),
+        (
+            dict(_MC, trials=9e18, source={"mu_a": 10.0, "mu_b": 10.0}, detector=_RELABELED),
+            "trials must be at most 2**60 - 1, got 9000000000000000000",
+        ),
     ],
 )
 def test_config_errors_name_the_section_and_the_key(tmp_path, capsys, overrides, message):
@@ -305,6 +312,87 @@ def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
     assert err.startswith(f"error: cannot write {missing!r}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["chsh", "sweep", "dump-state", "dump-transform"])
+@pytest.mark.parametrize("place", ["missing_directory", "directory", "file_as_directory"])
+def test_cli_refuses_an_unwritable_output_before_the_run(
+    tmp_path, capsys, monkeypatch, command, place
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("run_chsh", "sweep_correlation", "two_mode_input", "setup_transform"):
+        monkeypatch.setattr(cli, name, no_run)
+    path = write_config(tmp_path, angles={"sweep": [0.0, 0.5]})
+    target, reason = {
+        "missing_directory": (tmp_path / "missing" / "out.json", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "file_as_directory": (Path(path) / "out.json", "Not a directory"),
+    }[place]
+    tables = tmp_path / "tables.csv"
+    args = [command, "--config", path, "--out", str(target)]
+    if command == "chsh":
+        args += ["--dump-tables", str(tables)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(target)!r}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_exact_threshold_beyond_the_factorial_table_exits_2_at_once(tmp_path, capsys):
+    path = write_config(tmp_path, source={"n_max": 20}, detector=_THRESHOLD)
+    assert main(["chsh", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: source.n_max must be at most 19 for exact threshold runs, got 20; use mc_fock\n"
+    )
+
+
+def test_cli_fock_mean_with_no_weight_below_n_max_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, **_MC, source={"mu_a": 1000.0, "mu_b": 1.0, "n_max": 8})
+    assert main(["chsh", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: detected mean 1000: every Poisson weight up to source.n_max = 8 underflows to 0; "
+        "use mc_coherent\n"
+    )
+
+
+_LIMIT = measurement.TRIALS_LIMIT
+_AT_THE_LIMITS = {
+    "exact-threshold-n_max-20": dict(source={"n_max": 20}, detector=_THRESHOLD),
+    "exact-threshold-n_max-170": dict(source={"n_max": 170}, detector=_THRESHOLD),
+    "mc_fock-n_max-170": dict(_MC, trials=10**5, repetitions=1, source={"n_max": 170}),
+    **{
+        f"{mode}-threshold-trials-{name}": dict(
+            mode=mode,
+            seed=1,
+            trials=trials,
+            repetitions=1,
+            source={"mu_a": 10.0, "mu_b": 10.0},
+            detector=_RELABELED,
+        )
+        for mode in ("mc_fock", "mc_coherent")
+        for name, trials in (("limit-1", _LIMIT - 1), ("limit", _LIMIT))
+    },
+    "exact-mu_a-1000": dict(source={"mu_a": 1000.0, "mu_b": 1.0}),
+    "mc_fock-mu_a-1000": dict(_MC, source={"mu_a": 1000.0, "mu_b": 1.0}),
+    "exact-dark": dict(detector={"dark_rate": 1e-3}),
+    "mc_fock-dark": dict(_MC, detector={"dark_rate": 1e-3}),
+    "out-in-a-missing-directory": dict(output={"path": "missing/result.json"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_AT_THE_LIMITS))
+def test_cli_configs_at_the_documented_limits(tmp_path, capsys, monkeypatch, name):
+    """Each ends with exit 0, or with exit 2, one line and no output file."""
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, **_AT_THE_LIMITS[name])
+    status = main(["chsh", "--config", path, "--dump-tables", "tables.csv"])
+    err = capsys.readouterr().err
+    assert status in (0, 2)
+    assert "Traceback" not in err
+    if status == 2:
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_cli_bright_fock_run_ends_without_a_traceback(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Measurement: analyzers, exact rates, detector model, Monte Carlo samplers."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cohsh import measurement
+from cohsh import elements, measurement
 from cohsh.chsh import subtract_background
 from cohsh.elements import compose, polarization_rotator
 from cohsh.fock import AH, BV, Port, StateVector, basis_state
@@ -30,9 +31,11 @@ from cohsh.measurement import (
 from cohsh.source import BlockedArm, SourceSpec, poisson_pmf, two_mode_input
 
 from oracle import (
+    oracle_click_pattern,
     oracle_coherent_threshold_table,
     oracle_exact_one_one_table,
     oracle_fock_sector_table,
+    oracle_one_photon_per_port,
     oracle_poisson_readout_counts,
     oracle_sector_tables,
 )
@@ -53,7 +56,7 @@ THRESHOLD = CoincidenceSemantics.THRESHOLD
 
 def one_one_probs(state: StateVector, transform) -> np.ndarray:
     """The four exact_one_one cell probabilities of one pure state."""
-    return _outcome_probs(state, transform, EXACT)
+    return _outcome_probs(state, transform)[measurement._outcome_columns(EXACT)]
 
 
 def sector(**occupations) -> StateVector:
@@ -226,6 +229,18 @@ _RANDOM_SETTINGS = tuple(
 )
 
 
+def test_click_patterns_hold_the_one_photon_per_port_cells():
+    """Two photons fire a cell's (c, d) pair and no other detector iff one is at each port."""
+    columns = measurement._outcome_columns(EXACT).tolist()
+    for occ in itertools.product(range(3), repeat=8):
+        pattern = measurement._click_pattern(occ)
+        assert pattern == oracle_click_pattern(occ), occ
+        if sum(occ) == 2:
+            cell = oracle_one_photon_per_port(occ)
+            assert (columns.index(pattern) if pattern in columns else None) == cell, occ
+    assert measurement._outcome_columns(THRESHOLD).tolist() == list(range(16))
+
+
 @pytest.mark.parametrize("semantics", list(CoincidenceSemantics))
 def test_sector_table_matches_the_fock_propagation(semantics):
     """The closed-form sector rows are the propagated ones, to rounding."""
@@ -294,7 +309,7 @@ def test_exact_rates_equals_sum_over_every_sector(semantics):
                 # efficiency enters as the substitution mu -> efficiency * mu
                 m_a = detector.efficiency * config.effective_mu_a
                 m_b = detector.efficiency * config.effective_mu_b
-                outcomes = measurement._empty_outcomes(semantics)
+                outcomes = np.zeros(full.shape[2])
                 for i in range(n_max + 1):
                     for j in range(n_max + 1):
                         outcomes += poisson_pmf(m_a, i) * poisson_pmf(m_b, j) * full[i, j]
@@ -664,14 +679,61 @@ def test_threshold_table_without_interference_is_the_product_of_click_probabilit
 
 @pytest.mark.parametrize("runner", [run_montecarlo_fock, run_montecarlo_coherent])
 def test_samplers_take_trial_numbers_up_to_a_c_long(runner):
+    """A threshold cell can reach 5 * trials, and the draws read counts as a C long."""
     spec, setting = SourceSpec(0.1, 0.1), AnalyzerSetting(0.0, math.pi / 8)
     most = measurement.TRIALS_LIMIT - 1
-    assert most == 2**63 - 1
+    assert most == 2**60 - 1
+    assert 5 * most < 2**63
     table = runner(spec, setting, IDEAL, most, np.random.default_rng(3))
     assert table.trials == most
-    for trials in (2**63, 10**19):
-        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*63 - 1"):
+    # bright beams, half the events relabeled: every cell fires in almost every trial
+    relabeled = DetectorModel(visibility_eta=0.5, semantics=THRESHOLD)
+    table = runner(SourceSpec(10.0, 10.0), setting, relabeled, most, np.random.default_rng(3))
+    assert (table.values() >= 0.0).all()
+    assert table.total <= 4 * most
+    for trials in (2**60, 2**63, 10**19):
+        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*60 - 1"):
             runner(spec, setting, IDEAL, trials, np.random.default_rng(3))
+
+
+def test_exact_threshold_refuses_n_max_beyond_the_factorial_table(monkeypatch):
+    """A threshold sector can put 2 n_max photons into one mode; apply tabulates n! below 40."""
+    assert measurement.EXACT_THRESHOLD_N_MAX == 19
+    assert 2 * measurement.EXACT_THRESHOLD_N_MAX < len(elements._FACT)
+    monkeypatch.setattr(measurement, "apply", None)  # refused before any propagation
+    detector = DetectorModel(semantics=THRESHOLD)
+    for n_max in (20, 40, 170):
+        with pytest.raises(ValueError) as refused:
+            exact_rates(SourceSpec(0.1, 0.1, n_max=n_max), AnalyzerSetting(0.0, 0.3), detector)
+        assert str(refused.value) == (
+            f"source.n_max must be at most 19 for exact threshold runs, got {n_max}; use mc_fock"
+        )
+    monkeypatch.undo()
+    # exact_one_one propagates two photons whatever n_max is
+    deep, shallow = (
+        exact_rates(SourceSpec(0.1, 0.1, n_max=n_max), AnalyzerSetting(0.0, 0.3), IDEAL)
+        for n_max in (170, 2)
+    )
+    assert [t.values().tolist() for t in deep] == [t.values().tolist() for t in shallow]
+
+
+def test_fock_outcome_table_refuses_a_mean_with_no_weight_below_n_max():
+    """exp(-m) underflows above m of about 745, and with it every weight n <= 8."""
+    setting = AnalyzerSetting(0.0, math.pi / 8)
+    half = DetectorModel(efficiency=0.5)
+    for spec, detector in (
+        (SourceSpec(1000.0, 1.0, n_max=8), IDEAL),
+        (SourceSpec(1.0, 2000.0, n_max=8), half),
+    ):
+        with pytest.raises(ValueError) as refused:
+            fock_outcome_table(spec, setting, detector)
+        assert str(refused.value) == (
+            "detected mean 1000: every Poisson weight up to source.n_max = 8 underflows to 0; "
+            "use mc_coherent"
+        )
+    # the detected mean decides: at efficiency 0.5 a mean of 1000 keeps its weights
+    table = fock_outcome_table(SourceSpec(1000.0, 1.0, n_max=8), setting, half)
+    assert np.isfinite(table).all() and (table >= 0.0).all()
 
 
 def test_exact_one_one_closed_form_matches_the_phase_node_rule():
