@@ -56,6 +56,7 @@ from .measurement import (
     RECOMBINER,
     analyzer_transform,
     derive_rng,
+    exact_protocol_rates,
     exact_rates,
     protocol,
     run_montecarlo_coherent,

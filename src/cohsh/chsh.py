@@ -40,7 +40,9 @@ from .measurement import (
     AnalyzerSetting,
     CountTable,
     DetectorModel,
+    _run_table,
     derive_rng,
+    exact_protocol_rates,
     exact_rates,
     protocol,
     run_montecarlo_coherent,
@@ -225,6 +227,15 @@ def fit_visibility(points: Iterable[tuple[float, float, float]]) -> VisibilityFi
     return VisibilityFit(eta, eta_error)
 
 
+def _sampler(mode: RunMode, trials: int, seed: int | None):
+    """The Monte Carlo sampler of ``mode``, once the trials and seed are checked."""
+    if trials < 1:
+        raise ValueError("Monte Carlo modes need trials >= 1")
+    if seed is None:
+        raise ValueError("Monte Carlo modes need a seed")
+    return run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
+
+
 def measure_protocol(
     spec: SourceSpec,
     setting: AnalyzerSetting,
@@ -248,11 +259,7 @@ def measure_protocol(
     if mode is RunMode.EXACT:
         tables = exact_rates(spec, setting, detector)
     else:
-        if trials < 1:
-            raise ValueError("Monte Carlo modes need trials >= 1")
-        if seed is None:
-            raise ValueError("Monte Carlo modes need a seed")
-        runner = run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
+        runner = _sampler(mode, trials, seed)
         tables = tuple(
             runner(config, setting, detector, trials, derive_rng(seed, *cell_key, k))
             for k, (config, _) in enumerate(runs)
@@ -261,38 +268,91 @@ def measure_protocol(
     return correlation_E(c_table), tables, clamped
 
 
-class _Repeated(NamedTuple):
+class _Correlation(NamedTuple):
+    """A setting's correlation: the mean E over repetitions and its error."""
+
     e_value: float
     std_error: float
-    tables: tuple[CountTable, ...]
+
+
+class _ProtocolRun(NamedTuple):
+    """Every cell of one run of the engine (_run_protocol)."""
+
+    runs: tuple[tuple[SourceSpec, float], ...]
+    settings: Sequence[AnalyzerSetting]
+    trials: int
+    #: raw[s, r, k]: the four cells of configuration k in repetition r at setting s
+    raw: np.ndarray
+    correlations: list[_Correlation]
     clamped: float
 
+    def tables(self) -> tuple[CountTable, ...]:
+        """Every raw table in (setting, repetition, configuration) order."""
+        return tuple(
+            _run_table(values, config, setting, self.trials)
+            for setting, per_setting in zip(self.settings, self.raw)
+            for per_repetition in per_setting
+            for values, (config, _) in zip(per_repetition, self.runs)
+        )
 
-def _repeated_protocol(
-    spec, setting, detector, mode, trials, repetitions, seed, cell_key
-) -> _Repeated:
-    """The three-configuration protocol at one setting, repeated.
 
-    Returns the mean correlation over the repetitions, its error, every raw
-    table in (repetition, configuration) order, and the total clamped weight.
-    The error is the standard deviation over repetitions when there are
-    several, else the single run's std_error (multinomial for counts, zero
-    for exact rates).  Exact mode runs once whatever ``repetitions`` says.
+def _run_protocol(
+    spec, detector, settings, mode, trials, repetitions, seed, stream
+) -> _ProtocolRun:
+    """The three-configuration protocol at every setting of a run, repeated.
+
+    The one engine of run_chsh and sweep_correlation.  Exact mode reads
+    every (setting, configuration) cell from one exact_protocol_rates call
+    and runs once whatever ``repetitions`` says.  Monte Carlo modes make one
+    sampler call per (setting, repetition, configuration) cell, settings
+    outermost, each on the stream derive_rng(seed, stream, setting index,
+    repetition, configuration index), as measure_protocol keys them.  The
+    subtraction, the clamp totals, E and the mean and error over repetitions
+    are array operations in the operation order of subtract_background and
+    correlation_E, so each (setting, repetition) equals measure_protocol at
+    its cell key.  The error is the standard deviation over repetitions when
+    there are several, else the single run's std_error (multinomial for
+    counts, zero for exact rates).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    if RunMode(mode) is RunMode.EXACT:
-        repetitions = 1
-    es, tables, clamped_total = [], [], 0.0
-    for rep in range(repetitions):
-        corr, raw, clamped = measure_protocol(
-            spec, setting, detector, mode, trials, seed, cell_key + (rep,)
+    mode = RunMode(mode)
+    runs = protocol(spec, detector)
+    if mode is RunMode.EXACT:
+        repetitions, trials = 1, 0
+        raw = exact_protocol_rates(spec, settings, detector)[:, None]
+    else:
+        runner = _sampler(mode, trials, seed)
+        tables = [
+            runner(config, setting, detector, trials, derive_rng(seed, stream, s, rep, k))
+            for s, setting in enumerate(settings)
+            for rep in range(repetitions)
+            for k, (config, _) in enumerate(runs)
+        ]
+        raw = np.array([t.values() for t in tables]).reshape(
+            len(settings), repetitions, len(runs), 4
         )
-        es.append(corr.e_value)
-        tables.extend(raw)
-        clamped_total += clamped
-    error = float(np.std(es, ddof=1)) if repetitions > 1 else corr.std_error
-    return _Repeated(float(np.mean(es)), error, tuple(tables), clamped_total)
+    # subtract_background over every (setting, repetition)
+    subtracted = sum(weight * raw[:, :, k] for k, (_, weight) in enumerate(runs))
+    clamped = -np.where(subtracted < 0, subtracted, 0.0).sum(axis=-1)
+    c = np.maximum(subtracted, 0.0)
+    # correlation_E
+    total = c.sum(axis=-1)
+    if not (total > 0.0).all():
+        raise ValueError("insufficient statistics: subtracted table has zero total")
+    e = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / total
+    if repetitions > 1:
+        error = e.std(axis=1, ddof=1)
+    elif trials > 0:
+        error = np.sqrt(np.maximum(0.0, 1.0 - e * e) / total)[:, 0]
+    else:
+        error = np.zeros(len(settings))
+    correlations = [
+        _Correlation(mean, err) for mean, err in zip(e.mean(axis=1).tolist(), error.tolist())
+    ]
+    # each setting's repetitions in sequence, then the settings: measure_protocol's clamps, added
+    clamped_total = sum(np.cumsum(clamped, axis=1)[:, -1].tolist())
+    return _ProtocolRun(runs, settings, trials, raw, correlations, clamped_total)
 
 
 @dataclass(frozen=True)
@@ -322,22 +382,22 @@ def sweep_correlation(
     single count table otherwise.  Exact mode runs once, reports zero error,
     and records zero trials and one repetition.
     """
-    exact = RunMode(mode) is RunMode.EXACT
-    points = []
-    for t_idx, theta in enumerate(thetas):
-        setting = AnalyzerSetting(alpha=float(theta), beta=0.0)
-        e, err, _, _ = _repeated_protocol(
-            spec, setting, detector, mode, trials, repetitions, seed, (_STREAM_SWEEP, t_idx)
-        )
-        points.append(
-            SweepPoint(float(theta), e, err, 0 if exact else trials, 1 if exact else repetitions)
-        )
-    return points
+    settings = [AnalyzerSetting(alpha=float(theta), beta=0.0) for theta in thetas]
+    run = _run_protocol(spec, detector, settings, mode, trials, repetitions, seed, _STREAM_SWEEP)
+    return [
+        SweepPoint(setting.alpha, corr.e_value, corr.std_error, run.trials, run.raw.shape[1])
+        for setting, corr in zip(settings, run.correlations)
+    ]
 
 
 @dataclass(frozen=True)
 class ChshRun:
-    """A full CHSH measurement: the statistic plus every raw table produced."""
+    """A full CHSH measurement: the statistic plus every raw table produced.
+
+    ``tables`` holds every raw table in (setting, repetition, configuration)
+    order: the settings of setting_quad, then the repetitions, then the
+    configurations of measurement.protocol.
+    """
 
     result: ChshResult
     tables: tuple[CountTable, ...]
@@ -360,14 +420,7 @@ def run_chsh(
     with errors as in sweep_correlation, and the S error combines the four E
     errors in quadrature.
     """
-    quad = [
-        _repeated_protocol(
-            spec, setting, detector, mode, trials, repetitions, seed, (_STREAM_CHSH, s_idx)
-        )
-        for s_idx, setting in enumerate(setting_quad(*angles))
-    ]
-    return ChshRun(
-        chsh_S(quad),
-        tuple(t for q in quad for t in q.tables),
-        sum(q.clamped for q in quad),
+    run = _run_protocol(
+        spec, detector, setting_quad(*angles), mode, trials, repetitions, seed, _STREAM_CHSH
     )
+    return ChshRun(chsh_S(run.correlations), run.tables(), run.clamped)

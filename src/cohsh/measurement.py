@@ -7,12 +7,14 @@ by minus the analyzer angle, "-" is the V output.
 
 Table units.  Exact-mode tables are per-trial probabilities: the outcome
 distribution of one configuration that the Monte Carlo samplers draw their
-counts from, so exact mode is the infinite-trial limit of Monte Carlo.  Exact
-mode propagates each sector |i_aH, j_bV> that can register (i + j = 2 for
-exact_one_one) once per setting, reads its 16 click patterns as the sampler
-reads _sector_table (_outcome_columns), and weights the row by the Poisson
-weight P(i; m_a) P(j; m_b) of each configuration's detected means m (see
-Detector model).  For exact_one_one this is the two-photon decomposition
+counts from, so exact mode is the infinite-trial limit of Monte Carlo.  An
+exact run (exact_protocol_rates) builds its mixture, its protocol and its
+Poisson weights once, over the sectors the detected means give weight to.
+It then propagates each sector |i_aH, j_bV> that can register (i + j = 2
+for exact_one_one) once per setting, reads its 16 click patterns as the
+sampler reads _sector_table (_outcome_columns), and weights the row by the
+Poisson weight P(i; m_a) P(j; m_b) of each configuration's detected means m
+(see Detector model).  For exact_one_one this is the two-photon decomposition
 
     N_ij = e^{-m_a-m_b} [m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)],
 
@@ -54,8 +56,8 @@ plays no part.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -296,13 +298,17 @@ def detected_means(spec: SourceSpec, detector: DetectorModel) -> tuple[float, fl
 def _finalize_cells(outcomes: np.ndarray, detector: DetectorModel) -> np.ndarray:
     """Bin outcomes into the four cells and fold in the visibility.
 
-    Efficiency is already in the outcomes, through the detected means.
+    The last axis holds one configuration's outcomes; leading axes stack
+    configurations.  Efficiency is already in the outcomes, through the
+    detected means.
     """
     cells = outcomes
     if detector.semantics is CoincidenceSemantics.THRESHOLD:
-        cells = outcomes @ _PATTERN_CELLS
+        # row by row: a stacked product sums in another order than a vector's
+        rows = [row @ _PATTERN_CELLS for row in outcomes.reshape(-1, len(_PATTERNS))]
+        cells = np.array(rows).reshape(outcomes.shape[:-1] + (4,))
     eta = detector.visibility_eta
-    return eta * cells + (1.0 - eta) / 4.0 * cells.sum()
+    return eta * cells + (1.0 - eta) / 4.0 * cells.sum(axis=-1, keepdims=True)
 
 
 def protocol(spec: SourceSpec, detector: DetectorModel) -> tuple[tuple[SourceSpec, float], ...]:
@@ -331,17 +337,33 @@ def protocol(spec: SourceSpec, detector: DetectorModel) -> tuple[tuple[SourceSpe
     )
 
 
-def exact_rates(
-    spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
-) -> tuple[CountTable, ...]:
-    """Per-trial outcome probabilities of each configuration of an unblocked spec's protocol.
+def _detected_weights(m: float, n_max: int) -> np.ndarray:
+    """Poisson weights of a detected mean up to n_max; refuses a mean with none."""
+    weights = _truncated_weights(m, n_max)
+    if not weights.sum() > 0.0:
+        raise ValueError(
+            f"detected mean {m:g}: every Poisson weight up to source.n_max = "
+            f"{n_max} underflows to 0; use mc_coherent"
+        )
+    return weights
 
-    Each sector that can register is propagated once, and each configuration
-    weights its row by the Poisson weight of its own detected means (see the
-    module docstring).  exact_one_one, which registers only i + j == 2, asks
-    the source for i, j <= 2 alone; threshold refuses n_max above
-    EXACT_THRESHOLD_N_MAX.  Dark counts are not modeled here; use the
-    coherent sampler for that.
+
+def exact_protocol_rates(
+    spec: SourceSpec, settings: Sequence[AnalyzerSetting], detector: DetectorModel
+) -> np.ndarray:
+    """Per-trial cell probabilities of an unblocked spec's protocol at every setting.
+
+    Entry [s, k] holds the four cells of configuration k of protocol(spec,
+    detector) at settings[s].  The run builds one mixture, one protocol and
+    one set of Poisson weights; each setting costs one setup_transform and
+    one apply per sector that can register.  The sectors are those the
+    detected means of the open configuration give weight to, and each
+    configuration weights a sector's row by the Poisson weight of its own
+    detected means (see the module docstring).  exact_one_one, which
+    registers only i + j == 2, asks the source for i, j <= 2 alone;
+    threshold refuses n_max above EXACT_THRESHOLD_N_MAX, and a detected mean
+    whose weights up to n_max all underflow is refused.  Dark counts are not
+    modeled here; use the coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
@@ -351,26 +373,52 @@ def exact_rates(
             f"got {spec.n_max}; use mc_fock"
         )
     runs = protocol(spec, detector)
+    m_a, m_b = detected_means(spec, detector)
+    for m in (m_a, m_b):
+        _detected_weights(m, spec.n_max)
     n_max = spec.n_max
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
         n_max = min(n_max, 2)
-    mixture, _ = two_mode_input(replace(spec, n_max=n_max))
-    transform = setup_transform(setting)
-    columns = _outcome_columns(detector.semantics)
-    rows = []
+    mixture, _ = two_mode_input(SourceSpec(m_a, m_b, n_max))
+    sectors = []
     for _, component in mixture.components:
         (bstate, _), = component.items()
         i, j = bstate.count(AH), bstate.count(BV)
         if _can_register(i, j, detector.semantics):
-            rows.append((i, j, _outcome_probs(component, transform)[columns]))
-    tables = []
-    for variant, _ in runs:
-        m_a, m_b = detected_means(variant, detector)
-        outcomes = np.zeros(len(columns))
-        for i, j, probs in rows:
-            outcomes += poisson_pmf(m_a, i) * poisson_pmf(m_b, j) * probs
-        tables.append(_run_table(_finalize_cells(outcomes, detector), variant, setting, 0))
-    return tuple(tables)
+            sectors.append((i, j, component))
+    # weights[k, r]: configuration k's Poisson weight of sector r
+    weights = np.array(
+        [
+            [poisson_pmf(c_a, i) * poisson_pmf(c_b, j) for i, j, _ in sectors]
+            for c_a, c_b in (detected_means(variant, detector) for variant, _ in runs)
+        ]
+    ).reshape(len(runs), len(sectors))
+    columns = _outcome_columns(detector.semantics)
+    probs = np.empty((len(sectors), len(settings), len(columns)))
+    for s, setting in enumerate(settings):
+        transform = setup_transform(setting)
+        for r, (_, _, component) in enumerate(sectors):
+            probs[r, s] = _outcome_probs(component, transform)[columns]
+    # accumulated sector by sector, in mixture order
+    outcomes = np.zeros((len(settings), len(runs), len(columns)))
+    for r in range(len(sectors)):
+        outcomes += weights[:, r, None] * probs[r, :, None, :]
+    return _finalize_cells(outcomes, detector)
+
+
+def exact_rates(
+    spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
+) -> tuple[CountTable, ...]:
+    """Per-trial outcome probabilities of each configuration of an unblocked spec's protocol.
+
+    The one-setting view of exact_protocol_rates, as one table per
+    configuration in protocol order.
+    """
+    (cells,) = exact_protocol_rates(spec, (setting,), detector)
+    return tuple(
+        _run_table(values, variant, setting, 0)
+        for values, (variant, _) in zip(cells, protocol(spec, detector))
+    )
 
 
 def _run_table(
@@ -474,14 +522,7 @@ def fock_outcome_table(
     """
     if detector.dark_rate > 0.0:
         raise ValueError("dark counts are only modeled in the coherent sampler")
-    means = detected_means(spec, detector)
-    w_a, w_b = (_truncated_weights(m, spec.n_max) for m in means)
-    for m, w in zip(means, (w_a, w_b)):
-        if not w.sum() > 0.0:
-            raise ValueError(
-                f"detected mean {m:g}: every Poisson weight up to source.n_max = "
-                f"{spec.n_max} underflows to 0; use mc_coherent"
-            )
+    w_a, w_b = (_detected_weights(m, spec.n_max) for m in detected_means(spec, detector))
     sectors = _sector_table(setting, spec.n_max, detector.semantics)
     table = np.einsum("i,j,ijk->k", w_a / w_a.sum(), w_b / w_b.sum(), sectors)
     table.setflags(write=False)

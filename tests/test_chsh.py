@@ -402,15 +402,109 @@ def test_exact_protocol_builds_one_mixture_and_one_transform(monkeypatch):
         assert [len(log) for log in logs] == [1, 1, 1]
 
 
-def test_exact_drivers_call_exact_rates_once_per_setting(monkeypatch):
-    """Work-count guard: four settings for run_chsh, one per sweep point."""
-    rates = _call_log(monkeypatch, chsh, "exact_rates")
+def test_exact_drivers_build_one_mixture_per_run(monkeypatch):
+    """Work-count guard: one mixture per run, one setup matrix per setting and,
+    under exact_one_one, one propagation per two-photon sector per setting."""
+    logs = [
+        _call_log(monkeypatch, measurement, name)
+        for name in ("two_mode_input", "setup_transform", "apply")
+    ]
     spec = SourceSpec(0.05, 0.05)
-    run_chsh(spec, IDEAL, repetitions=3)
-    assert len(rates) == 4
-    rates.clear()
-    sweep_correlation(spec, IDEAL, np.linspace(0.0, math.pi, 17), repetitions=3)
-    assert len(rates) == 17
+    sweep = np.linspace(0.0, math.pi, 17)
+    for repetitions in (1, 3):
+        for settings in (4, 17):
+            for log in logs:
+                log.clear()
+            if settings == 4:
+                run_chsh(spec, IDEAL, repetitions=repetitions)
+            else:
+                sweep_correlation(spec, IDEAL, sweep, repetitions=repetitions)
+            assert [len(log) for log in logs] == [1, settings, 3 * settings]
+
+
+_ENGINE_CASES = [
+    (mode, semantics, efficiency, 0.0)
+    for mode in ("exact", "mc_fock", "mc_coherent")
+    for semantics in CoincidenceSemantics
+    for efficiency in (1.0, 0.6)
+] + [("mc_coherent", semantics, 1.0, 1e-3) for semantics in CoincidenceSemantics]
+
+
+def _rebuilt(spec, detector, settings, mode, trials, repetitions, seed, stream):
+    """(E means, errors, raw tables, clamp total) from measure_protocol, cell by cell."""
+    repetitions = 1 if mode == "exact" else repetitions
+    means, errors, tables, totals = [], [], [], []
+    for s_idx, setting in enumerate(settings):
+        es, clamped_total = [], 0.0
+        for rep in range(repetitions):
+            corr, raw, clamped = measure_protocol(
+                spec, setting, detector, mode, trials, seed, (stream, s_idx, rep)
+            )
+            es.append(corr.e_value)
+            tables.extend(raw)
+            clamped_total += clamped
+        means.append(float(np.mean(es)))
+        errors.append(float(np.std(es, ddof=1)) if repetitions > 1 else corr.std_error)
+        totals.append(clamped_total)
+    return means, errors, tables, sum(totals)
+
+
+@pytest.mark.parametrize("mode, semantics, efficiency, dark", _ENGINE_CASES)
+def test_engine_equals_measure_protocol_cell_by_cell(mode, semantics, efficiency, dark):
+    """run_chsh and sweep_correlation equal measure_protocol at each cell key, bit for bit."""
+    spec = SourceSpec(0.3, 0.2)
+    detector = DetectorModel(0.9, efficiency, semantics, dark)
+    mc = dict(mode=mode, trials=3000, seed=29)
+    quad = setting_quad(*BELL_TEST_ANGLES)
+    thetas = np.linspace(0.0, math.pi, 5)
+    sweep_settings = [AnalyzerSetting(float(t), 0.0) for t in thetas]
+    for repetitions in (1, 3):
+        run = run_chsh(spec, detector, repetitions=repetitions, **mc)
+        means, errors, tables, clamped = _rebuilt(
+            spec, detector, quad, mode, 3000, repetitions, 29, _STREAM_CHSH
+        )
+        assert list(run.result.e_values) == means
+        assert list(run.result.e_errors) == errors
+        assert run.tables == tuple(tables)
+        assert run.clamped == clamped
+        points = sweep_correlation(spec, detector, thetas, repetitions=repetitions, **mc)
+        means, errors, _, _ = _rebuilt(
+            spec, detector, sweep_settings, mode, 3000, repetitions, 29, _STREAM_SWEEP
+        )
+        assert [p.e_mean for p in points] == means
+        assert [p.e_std for p in points] == errors
+
+
+def test_exact_runs_at_an_efficiency_are_the_lossless_runs_at_the_detected_means():
+    """Exact mode at (mu, e) is exact mode at (e * mu, 1), bit for bit, also where
+    the emitted means are so bright that their own weights underflow."""
+    thetas = np.linspace(0.0, math.pi, 9)
+    for semantics in CoincidenceSemantics:
+        for (mu_a, mu_b), eff in (((0.1, 0.07), 0.6), ((1000.0, 1000.0), 1e-4)):
+            lossy = DetectorModel(visibility_eta=0.9, efficiency=eff, semantics=semantics)
+            lossless = DetectorModel(visibility_eta=0.9, semantics=semantics)
+            emitted, detected = SourceSpec(mu_a, mu_b), SourceSpec(eff * mu_a, eff * mu_b)
+            ours, expected = run_chsh(emitted, lossy), run_chsh(detected, lossless)
+            assert ours.result == expected.result
+            assert [t.values().tolist() for t in ours.tables] == [
+                t.values().tolist() for t in expected.tables
+            ]
+            assert ours.clamped == expected.clamped
+            assert sweep_correlation(emitted, lossy, thetas) == sweep_correlation(
+                detected, lossless, thetas
+            )
+
+
+def test_exact_runs_refuse_a_detected_mean_with_no_weight_below_n_max():
+    for semantics in CoincidenceSemantics:
+        detector = DetectorModel(semantics=semantics)
+        for drive in (run_chsh, lambda spec, det: sweep_correlation(spec, det, (0.0, 1.0))):
+            with pytest.raises(ValueError) as refused:
+                drive(SourceSpec(1000.0, 1.0), detector)
+            assert str(refused.value) == (
+                "detected mean 1000: every Poisson weight up to source.n_max = 4 underflows "
+                "to 0; use mc_coherent"
+            )
 
 
 @pytest.mark.parametrize(

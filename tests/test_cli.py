@@ -356,6 +356,30 @@ def test_cli_fock_mean_with_no_weight_below_n_max_exits_2(tmp_path, capsys):
     )
 
 
+def test_cli_exact_mean_with_no_weight_below_n_max_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, source={"mu_a": 1000.0, "mu_b": 1.0})
+    assert main(["chsh", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: detected mean 1000: every Poisson weight up to source.n_max = 4 underflows to 0; "
+        "use mc_coherent\n"
+    )
+
+
+def test_cli_exact_bright_beams_at_low_efficiency_run_at_their_detected_means(tmp_path, capsys):
+    """Exact mode reads the detected means, as the samplers do, so a bright source
+    behind weak detectors is the dim source it looks like."""
+    eff = 1e-4
+    bright = {"mu_a": 1000.0, "mu_b": 1000.0}
+    lossy = write_config(tmp_path, "lossy.json", source=bright, detector={"efficiency": eff})
+    dim = write_config(tmp_path, "dim.json", source={"mu_a": 1000.0 * eff, "mu_b": 1000.0 * eff})
+    streams = []
+    for path in (lossy, dim):
+        assert main(["chsh", "--config", path]) == 0
+        streams.append(capsys.readouterr())
+    assert streams[0] == streams[1]
+    assert json.loads(streams[0].out)["s"] == pytest.approx(2 * SQRT2, abs=1e-9)
+
+
 _LIMIT = measurement.TRIALS_LIMIT
 _AT_THE_LIMITS = {
     "exact-threshold-n_max-20": dict(source={"n_max": 20}, detector=_THRESHOLD),
