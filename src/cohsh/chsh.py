@@ -22,7 +22,14 @@ The CHSH statistic S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| reaches
 correlation depends only on the angle difference, S there also equals
 |3 E(theta) - E(3 theta)| with theta = pi/8.
 
-Error conventions: single count tables get a multinomial standard error;
+The subtraction and E are computed in one place each: subtract_background
+and correlation_E take arrays with any leading axes, so the run engine
+(_run_protocol) passes every (setting, repetition) of a run at once and
+measure_protocol passes its one setting.  A setting's result is a
+SubtractedCorrelation (e_value, std_error).
+
+Error conventions: a single count table gets the multinomial standard error
+sqrt((1 - E^2) / total) of its subtracted cells, an exact-mode table zero;
 repeated runs report the empirical standard deviation over the repetitions.
 The two are never mixed.
 """
@@ -78,9 +85,8 @@ def setting_quad(
 
 @dataclass(frozen=True)
 class SubtractedCorrelation:
-    """Isolated coincidence table with its normalized correlation."""
+    """A setting's normalized correlation E of the subtracted table, and its error."""
 
-    c_table: CountTable
     e_value: float
     std_error: float
 
@@ -102,60 +108,40 @@ class ChshResult:
         }
 
 
-def _check_meta(field: str, *values) -> None:
-    known = [v for v in values if v is not None]
-    for v in known[1:]:
-        if isinstance(v, float) or isinstance(known[0], float):
-            if abs(float(v) - float(known[0])) > 1e-12:
-                raise ValueError(f"tables disagree on {field}: {known[0]} vs {v}")
-        elif v != known[0]:
-            raise ValueError(f"tables disagree on {field}: {known[0]} vs {v}")
-
-
 def subtract_background(
-    tables: Sequence[CountTable], runs: Sequence[tuple[SourceSpec, float]]
-) -> tuple[CountTable, float]:
+    raw: np.ndarray, runs: Sequence[tuple[SourceSpec, float]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise C = sum_k w_k N_k over the runs of measurement.protocol.
 
-    Table k is the run of configuration k; all share settings, means and
-    trial numbers.  Negative entries, which can arise from statistical
-    fluctuation, are clamped to zero; the clamped magnitude is returned as a
-    diagnostic.
+    ``raw`` holds the four cells of each table on its last axis and the
+    configurations, in protocol order, on axis -2; leading axes (settings,
+    repetitions) are carried through.  Negative entries, which can arise
+    from statistical fluctuation, are clamped to zero.  Returns C and, per
+    subtracted table, the clamped magnitude as a diagnostic.
     """
-    if len(tables) != len(runs):
-        raise ValueError(f"{len(tables)} tables for a protocol of {len(runs)} runs")
-    alphas, betas, mus_a, mus_b, trial_numbers, marks = zip(
-        *[(t.alpha, t.beta, t.mu_a, t.mu_b, t.trials, t.blocked) for t in tables]
-    )
-    for field, values in (("alpha", alphas), ("beta", betas), ("mu_a", mus_a), ("mu_b", mus_b)):
-        _check_meta(field, *values)
-    trials = {n for n in trial_numbers if n > 0}
-    if len(trials) > 1:
-        raise ValueError(f"count tables have unequal trial numbers: {sorted(trials)}")
-    for mark, (config, _) in zip(marks, runs):
-        if mark is not None and mark is not config.blocked:
-            raise ValueError(f"table marked {mark.value} used in the {config.blocked.value} slot")
-    raw = sum(weight * table.values() for table, (_, weight) in zip(tables, runs))
-    clamped = float(-raw[raw < 0].sum())
-    return tables[0].with_values(np.maximum(raw, 0.0)), clamped
+    raw = np.asarray(raw, dtype=float)
+    if raw.shape[-2] != len(runs):
+        raise ValueError(f"{raw.shape[-2]} tables for a protocol of {len(runs)} runs")
+    subtracted = sum(weight * raw[..., k, :] for k, (_, weight) in enumerate(runs))
+    clamped = np.where(subtracted < 0, -subtracted, 0.0).sum(axis=-1)
+    return np.maximum(subtracted, 0.0), clamped
 
 
-def correlation_E(c_table: CountTable) -> SubtractedCorrelation:
-    """Normalized correlation of a coincidence table.
+def correlation_E(cells: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized correlation of coincidence tables (cells on the last axis).
 
-    Count tables (trials > 0) get a multinomial standard error
-    sqrt((1 - E^2) / total); exact-mode probability tables get zero.
+    Returns E and its single-table error: the multinomial standard error
+    sqrt((1 - E^2) / total) for counts (trials > 0), zero for exact-mode
+    probabilities (trials == 0).
     """
-    values = c_table.values()
-    total = float(values.sum())
-    if total <= 0.0:
+    cells = np.asarray(cells, dtype=float)
+    total = cells.sum(axis=-1)
+    if not (total > 0.0).all():
         raise ValueError("insufficient statistics: subtracted table has zero total")
-    e = float((values[0] - values[1] - values[2] + values[3]) / total)
-    if c_table.trials > 0:
-        std_error = math.sqrt(max(0.0, 1.0 - e * e) / total)
-    else:
-        std_error = 0.0
-    return SubtractedCorrelation(c_table, e, std_error)
+    e = (cells[..., 0] - cells[..., 1] - cells[..., 2] + cells[..., 3]) / total
+    if trials > 0:
+        return e, np.sqrt(np.maximum(0.0, 1.0 - e * e) / total)
+    return e, np.zeros_like(e)
 
 
 def chsh_S(quad: Sequence[SubtractedCorrelation]) -> ChshResult:
@@ -243,36 +229,28 @@ def measure_protocol(
     mode: RunMode | str = RunMode.EXACT,
     trials: int = 0,
     seed: int | None = None,
-    cell_key: tuple[int, ...] = (),
 ) -> tuple[SubtractedCorrelation, tuple[CountTable, ...], float]:
     """One run of the protocol (measurement.protocol) at one setting.
 
-    Returns the subtracted correlation, the raw table of each configuration
-    in protocol order, and the clamp diagnostic; exact mode gets every table
-    from one exact_rates call.  All configurations use the same trial count;
-    in Monte Carlo modes each configuration gets its own derived stream keyed
-    by (cell_key, configuration index).  In every mode the tables enter the
-    subtraction with the protocol's weights.
+    Returns the subtracted correlation with its single-table error, the raw
+    table of each configuration in protocol order, and the clamp
+    diagnostic.  Exact mode gets every table from one exact_rates call;
+    Monte Carlo modes draw configuration k from derive_rng(seed, k), all
+    with the same trial count.
     """
     mode = RunMode(mode)
     runs = protocol(spec, detector)
     if mode is RunMode.EXACT:
-        tables = exact_rates(spec, setting, detector)
+        trials, tables = 0, exact_rates(spec, setting, detector)
     else:
         runner = _sampler(mode, trials, seed)
         tables = tuple(
-            runner(config, setting, detector, trials, derive_rng(seed, *cell_key, k))
+            runner(config, setting, detector, trials, derive_rng(seed, k))
             for k, (config, _) in enumerate(runs)
         )
-    c_table, clamped = subtract_background(tables, runs)
-    return correlation_E(c_table), tables, clamped
-
-
-class _Correlation(NamedTuple):
-    """A setting's correlation: the mean E over repetitions and its error."""
-
-    e_value: float
-    std_error: float
+    c, clamped = subtract_background(np.array([t.values() for t in tables]), runs)
+    e, error = correlation_E(c, trials)
+    return SubtractedCorrelation(float(e), float(error)), tables, float(clamped)
 
 
 class _ProtocolRun(NamedTuple):
@@ -283,7 +261,7 @@ class _ProtocolRun(NamedTuple):
     trials: int
     #: raw[s, r, k]: the four cells of configuration k in repetition r at setting s
     raw: np.ndarray
-    correlations: list[_Correlation]
+    correlations: list[SubtractedCorrelation]
     clamped: float
 
     def tables(self) -> tuple[CountTable, ...]:
@@ -306,13 +284,12 @@ def _run_protocol(
     and runs once whatever ``repetitions`` says.  Monte Carlo modes make one
     sampler call per (setting, repetition, configuration) cell, settings
     outermost, each on the stream derive_rng(seed, stream, setting index,
-    repetition, configuration index), as measure_protocol keys them.  The
-    subtraction, the clamp totals, E and the mean and error over repetitions
-    are array operations in the operation order of subtract_background and
-    correlation_E, so each (setting, repetition) equals measure_protocol at
-    its cell key.  The error is the standard deviation over repetitions when
-    there are several, else the single run's std_error (multinomial for
-    counts, zero for exact rates).
+    repetition, configuration index).  subtract_background and correlation_E
+    take every (setting, repetition) at once.  A setting's E is the mean
+    over its repetitions, and its error the standard deviation over them
+    when there are several, else the single run's error (multinomial for
+    counts, zero for exact rates).  The clamp total adds the clamped
+    magnitudes in (setting, repetition) order.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -332,27 +309,14 @@ def _run_protocol(
         raw = np.array([t.values() for t in tables]).reshape(
             len(settings), repetitions, len(runs), 4
         )
-    # subtract_background over every (setting, repetition)
-    subtracted = sum(weight * raw[:, :, k] for k, (_, weight) in enumerate(runs))
-    clamped = -np.where(subtracted < 0, subtracted, 0.0).sum(axis=-1)
-    c = np.maximum(subtracted, 0.0)
-    # correlation_E
-    total = c.sum(axis=-1)
-    if not (total > 0.0).all():
-        raise ValueError("insufficient statistics: subtracted table has zero total")
-    e = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / total
-    if repetitions > 1:
-        error = e.std(axis=1, ddof=1)
-    elif trials > 0:
-        error = np.sqrt(np.maximum(0.0, 1.0 - e * e) / total)[:, 0]
-    else:
-        error = np.zeros(len(settings))
+    c, clamped = subtract_background(raw, runs)
+    e, error = correlation_E(c, trials)
+    error = e.std(axis=1, ddof=1) if repetitions > 1 else error[:, 0]
     correlations = [
-        _Correlation(mean, err) for mean, err in zip(e.mean(axis=1).tolist(), error.tolist())
+        SubtractedCorrelation(mean, err)
+        for mean, err in zip(e.mean(axis=1).tolist(), error.tolist())
     ]
-    # each setting's repetitions in sequence, then the settings: measure_protocol's clamps, added
-    clamped_total = sum(np.cumsum(clamped, axis=1)[:, -1].tolist())
-    return _ProtocolRun(runs, settings, trials, raw, correlations, clamped_total)
+    return _ProtocolRun(runs, settings, trials, raw, correlations, sum(clamped.ravel().tolist()))
 
 
 @dataclass(frozen=True)

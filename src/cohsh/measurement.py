@@ -145,8 +145,8 @@ class DetectorModel:
             raise ValueError("visibility_eta must lie in [0, 1]")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        if self.dark_rate < 0.0:
-            raise ValueError("dark_rate must be non-negative")
+        if not 0.0 <= self.dark_rate < math.inf:
+            raise ValueError("dark_rate must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,7 @@ class CountTable:
 
     ``trials == 0`` marks an exact-mode table of per-trial probabilities;
     counts from Monte Carlo carry the number of trials.  The remaining fields
-    are run metadata used to validate that tables entering a subtraction
-    belong together.
+    are the run's metadata, written with the cells by csv_row.
     """
 
     n_pp: float
@@ -175,13 +174,6 @@ class CountTable:
     @classmethod
     def from_values(cls, values: np.ndarray, **meta) -> "CountTable":
         return cls(*np.asarray(values, dtype=float).tolist(), **meta)
-
-    def with_values(self, values: np.ndarray) -> "CountTable":
-        """Copy with the four cells replaced and the metadata kept."""
-        pp, pm, mp, mm = np.asarray(values, dtype=float).tolist()
-        return CountTable(
-            pp, pm, mp, mm, self.trials, self.alpha, self.beta, self.mu_a, self.mu_b, self.blocked
-        )
 
     def values(self) -> np.ndarray:
         return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float)
@@ -361,9 +353,10 @@ def exact_protocol_rates(
     configuration weights a sector's row by the Poisson weight of its own
     detected means (see the module docstring).  exact_one_one, which
     registers only i + j == 2, asks the source for i, j <= 2 alone;
-    threshold refuses n_max above EXACT_THRESHOLD_N_MAX, and a detected mean
-    whose weights up to n_max all underflow is refused.  Dark counts are not
-    modeled here; use the coherent sampler for that.
+    threshold refuses n_max above EXACT_THRESHOLD_N_MAX.  A detected mean
+    whose weights up to n_max all underflow is refused, and so are two means
+    under which the weight of every sector that can register underflows.
+    Dark counts are not modeled here; use the coherent sampler for that.
     """
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
@@ -374,11 +367,23 @@ def exact_protocol_rates(
         )
     runs = protocol(spec, detector)
     m_a, m_b = detected_means(spec, detector)
-    for m in (m_a, m_b):
-        _detected_weights(m, spec.n_max)
+    w_a, w_b = (_detected_weights(m, spec.n_max) for m in (m_a, m_b))
     n_max = spec.n_max
     if detector.semantics is CoincidenceSemantics.EXACT_ONE_ONE:
         n_max = min(n_max, 2)
+    n = range(n_max + 1)
+    # sectors that can register and have weight before rounding: no photon from a mean of 0
+    weighted = [
+        (i, j)
+        for i in n
+        for j in n
+        if _can_register(i, j, detector.semantics) and (m_a > 0 or i == 0) and (m_b > 0 or j == 0)
+    ]
+    if weighted and not any(w_a[i] * w_b[j] > 0.0 for i, j in weighted):
+        raise ValueError(
+            f"detected means {m_a:g} and {m_b:g}: the weight of every sector that can "
+            f"register, up to {n_max} photons per beam, underflows to 0; use mc_coherent"
+        )
     mixture, _ = two_mode_input(SourceSpec(m_a, m_b, n_max))
     sectors = []
     for _, component in mixture.components:

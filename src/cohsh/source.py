@@ -56,8 +56,8 @@ class SourceSpec:
     def __post_init__(self) -> None:
         # a str value compares equal to its enum member; see DetectorModel
         object.__setattr__(self, "blocked", BlockedArm(self.blocked))
-        if self.mu_a < 0 or self.mu_b < 0:
-            raise ValueError("mean photon numbers must be non-negative")
+        if not (0 <= self.mu_a < math.inf and 0 <= self.mu_b < math.inf):
+            raise ValueError("mean photon numbers must be finite and non-negative")
         if not 0 <= self.n_max <= N_MAX_LIMIT:
             # poisson_pmf divides by n!, and 171! exceeds the float range
             raise ValueError(f"n_max must lie in [0, {N_MAX_LIMIT}], got {self.n_max}")

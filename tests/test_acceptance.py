@@ -13,6 +13,7 @@ import numpy as np
 
 from cohsh.chsh import (
     BELL_TEST_ANGLES,
+    SubtractedCorrelation,
     chsh_S,
     correlation_E,
     fit_visibility,
@@ -138,7 +139,8 @@ def test_criterion_4_subtraction_necessity():
     oracle_es = []
     for setting in setting_quad(*BELL_TEST_ANGLES):
         _, tables, _ = measure_protocol(spec, setting, IDEAL)
-        raw_corrs.append(correlation_E(tables[0]))
+        e, error = correlation_E(tables[0].values(), tables[0].trials)
+        raw_corrs.append(SubtractedCorrelation(float(e), float(error)))
         oracle_es.append(oracle_unsubtracted_E(setting.alpha, setting.beta))
     s_raw = chsh_S(raw_corrs).s_value
     s_raw_oracle = abs(oracle_es[0] - oracle_es[1] + oracle_es[2] + oracle_es[3])

@@ -27,6 +27,7 @@ from cohsh.measurement import (
     CountTable,
     DetectorModel,
     coherent_outcome_table,
+    derive_rng,
     exact_rates,
     protocol,
 )
@@ -42,6 +43,17 @@ def table(pp, pm, mp, mm, **meta) -> CountTable:
     return CountTable(pp, pm, mp, mm, **meta)
 
 
+def stack(*tables: CountTable) -> np.ndarray:
+    """The cells of ``tables`` as subtract_background takes them, one table per row."""
+    return np.array([t.values() for t in tables])
+
+
+def correlation_of(t: CountTable) -> SubtractedCorrelation:
+    """correlation_E of one table, as the correlation chsh_S reads."""
+    e, error = correlation_E(t.values(), t.trials)
+    return SubtractedCorrelation(float(e), float(error))
+
+
 #: The protocol runs with weights (1, -1, -1): plain subtraction of the blocked tables.
 UNIT_RUNS = protocol(SourceSpec(0.05, 0.05), DetectorModel(semantics="threshold"))
 
@@ -49,63 +61,55 @@ UNIT_RUNS = protocol(SourceSpec(0.05, 0.05), DetectorModel(semantics="threshold"
 def test_subtract_background_trivial_cases():
     full = table(4.0, 3.0, 2.0, 1.0)
     zero = table(0.0, 0.0, 0.0, 0.0)
-    out, clamped = subtract_background((full, zero, zero), UNIT_RUNS)
-    assert np.array_equal(out.values(), full.values())
+    out, clamped = subtract_background(stack(full, zero, zero), UNIT_RUNS)
+    assert np.array_equal(out, full.values())
     assert clamped == 0.0
 
     half = table(2.0, 1.5, 1.0, 0.5)
-    out, clamped = subtract_background((full, half, half), UNIT_RUNS)
-    assert out.total == 0.0
+    out, clamped = subtract_background(stack(full, half, half), UNIT_RUNS)
+    assert out.sum() == 0.0
     assert clamped == 0.0
 
 
 def test_subtract_background_clamps_negatives():
     full = table(1.0, 1.0, 1.0, 1.0)
     big = table(2.0, 0.0, 0.0, 0.0)
-    out, clamped = subtract_background((full, big, big), UNIT_RUNS)
-    assert out.n_pp == 0.0
+    out, clamped = subtract_background(stack(full, big, big), UNIT_RUNS)
+    assert out[0] == 0.0
     assert clamped == pytest.approx(3.0)
-
-
-def test_subtract_background_metadata_validation():
-    full = table(1.0, 0.0, 0.0, 0.0, alpha=0.0, beta=0.1)
-    other = table(0.0, 0.0, 0.0, 0.0, alpha=0.0, beta=0.2)
-    match = table(0.0, 0.0, 0.0, 0.0, alpha=0.0, beta=0.1)
-    with pytest.raises(ValueError, match="disagree on beta"):
-        subtract_background((full, other, match), UNIT_RUNS)
-    with pytest.raises(ValueError, match="unequal trial numbers"):
-        subtract_background(
-            (
-                table(1.0, 0.0, 0.0, 0.0, trials=100),
-                table(0.0, 0.0, 0.0, 0.0, trials=200),
-                table(0.0, 0.0, 0.0, 0.0, trials=100),
-            ),
-            UNIT_RUNS,
-        )
-    with pytest.raises(ValueError, match="table marked block_a used in the none slot"):
-        subtract_background(
-            (
-                table(1.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_A),
-                table(0.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_A),
-                table(0.0, 0.0, 0.0, 0.0, blocked=BlockedArm.BLOCK_B),
-            ),
-            UNIT_RUNS,
-        )
 
 
 def test_subtract_background_needs_one_table_per_run():
     zero = table(0.0, 0.0, 0.0, 0.0)
     for tables in ((zero, zero), (zero, zero, zero, zero)):
         with pytest.raises(ValueError, match=f"{len(tables)} tables for a protocol of 3 runs"):
-            subtract_background(tables, UNIT_RUNS)
+            subtract_background(stack(*tables), UNIT_RUNS)
+
+
+def test_array_functions_equal_per_table_calls():
+    """A (setting, repetition, configuration, cell) stack equals the per-table calls, bit for bit."""
+    raw = np.random.default_rng(7).integers(0, 50, size=(2, 3, 3, 4)).astype(float)
+    raw[:, :, 0] += 60.0  # full runs large enough for a positive total, not for every cell
+    c, clamped = subtract_background(raw, UNIT_RUNS)
+    assert c.shape == (2, 3, 4) and clamped.shape == (2, 3)
+    assert clamped.sum() > 0.0
+    for trials in (0, 1000):
+        e, error = correlation_E(c, trials)
+        for s in range(2):
+            for r in range(3):
+                c_one, clamped_one = subtract_background(raw[s, r], UNIT_RUNS)
+                assert c_one.tolist() == c[s, r].tolist()
+                assert float(clamped_one) == clamped[s, r]
+                e_one, error_one = correlation_E(c_one, trials)
+                assert (float(e_one), float(error_one)) == (e[s, r], error[s, r])
 
 
 def test_exact_subtraction_isolates_anticorrelation():
-    corr, tables, clamped = measure_protocol(
-        SourceSpec(0.05, 0.05), AnalyzerSetting(0.0, 0.0), IDEAL
-    )
-    assert corr.c_table.n_pp == pytest.approx(0.0, abs=1e-9)
-    assert corr.c_table.n_mm == pytest.approx(0.0, abs=1e-9)
+    spec = SourceSpec(0.05, 0.05)
+    corr, tables, clamped = measure_protocol(spec, AnalyzerSetting(0.0, 0.0), IDEAL)
+    c, _ = subtract_background(stack(*tables), protocol(spec, IDEAL))
+    assert c[0] == pytest.approx(0.0, abs=1e-9)
+    assert c[3] == pytest.approx(0.0, abs=1e-9)
     assert corr.e_value == pytest.approx(-1.0, abs=1e-12)
     assert clamped < 1e-15
     assert len(tables) == 3
@@ -138,10 +142,10 @@ def test_blocked_rescaling_uses_detected_means():
 
 
 def test_correlation_e_values():
-    assert correlation_E(table(0.0, 0.5, 0.5, 0.0)).e_value == pytest.approx(-1.0)
-    assert correlation_E(table(0.25, 0.25, 0.25, 0.25)).e_value == pytest.approx(0.0)
+    assert correlation_of(table(0.0, 0.5, 0.5, 0.0)).e_value == pytest.approx(-1.0)
+    assert correlation_of(table(0.25, 0.25, 0.25, 0.25)).e_value == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        correlation_E(table(0.0, 0.0, 0.0, 0.0))
+        correlation_of(table(0.0, 0.0, 0.0, 0.0))
 
 
 def test_correlation_e_exact_pipeline_at_pi_8():
@@ -154,14 +158,14 @@ def test_correlation_e_exact_pipeline_at_pi_8():
 
 def test_correlation_e_multinomial_error():
     counted = table(100.0, 200.0, 250.0, 50.0, trials=10_000)
-    corr = correlation_E(counted)
+    corr = correlation_of(counted)
     e = (100 - 200 - 250 + 50) / 600
     assert corr.e_value == pytest.approx(e)
     assert corr.std_error == pytest.approx(math.sqrt((1 - e * e) / 600))
 
 
 def _quad(es):
-    return [SubtractedCorrelation(table(1, 1, 1, 1), e, 0.0) for e in es]
+    return [SubtractedCorrelation(e, 0.0) for e in es]
 
 
 def test_chsh_s_from_quads():
@@ -172,22 +176,20 @@ def test_chsh_s_from_quads():
     scaled = chsh_S(_quad([eta * e for e in (-1 / SQRT2, 1 / SQRT2, -1 / SQRT2, -1 / SQRT2)]))
     assert scaled.s_value == pytest.approx(2 * SQRT2 * eta)
     # error combines in quadrature
-    errs = [SubtractedCorrelation(table(1, 1, 1, 1), 0.0, 0.1) for _ in range(4)]
+    errs = [SubtractedCorrelation(0.0, 0.1) for _ in range(4)]
     assert chsh_S(errs).s_error == pytest.approx(0.2)
     with pytest.raises(ValueError):
         chsh_S(errs[:3])
 
 
 def test_bell_angle_form():
-    e_theta = SubtractedCorrelation(table(1, 1, 1, 1), -1 / SQRT2, 0.01)
-    e_3theta = SubtractedCorrelation(table(1, 1, 1, 1), 1 / SQRT2, 0.02)
+    e_theta = SubtractedCorrelation(-1 / SQRT2, 0.01)
+    e_3theta = SubtractedCorrelation(1 / SQRT2, 0.02)
     result = bell_angle_S(e_theta, e_3theta)
     assert result.s_value == pytest.approx(2 * SQRT2)
     assert result.s_error == pytest.approx(math.sqrt(9 * 0.01**2 + 0.02**2))
-    assert bell_angle_S(
-        SubtractedCorrelation(table(1, 1, 1, 1), 0.0, 0.0),
-        SubtractedCorrelation(table(1, 1, 1, 1), 0.0, 0.0),
-    ).s_value == 0.0
+    zero = SubtractedCorrelation(0.0, 0.0)
+    assert bell_angle_S(zero, zero).s_value == 0.0
     # recomputable from the stored e_values
     e = result.e_values
     assert abs(e[0] - e[1] + e[2] + e[3]) == pytest.approx(result.s_value, abs=1e-12)
@@ -249,7 +251,7 @@ def test_unsubtracted_correlation_matches_oracle():
     spec = SourceSpec(0.05, 0.05)
     for alpha, beta in ((0.0, math.pi / 8), (math.pi / 4, math.pi / 8), (0.9, 0.3)):
         _, tables, _ = measure_protocol(spec, AnalyzerSetting(alpha, beta), IDEAL)
-        raw = correlation_E(tables[0]).e_value
+        raw = correlation_of(tables[0]).e_value
         assert raw == pytest.approx(oracle_unsubtracted_E(alpha, beta), abs=1e-12)
 
 
@@ -355,7 +357,7 @@ def test_raw_versus_subtracted_ordering():
     raws = []
     for setting in setting_quad(*BELL_TEST_ANGLES):
         _, tables, _ = measure_protocol(spec, setting, IDEAL)
-        raws.append(correlation_E(tables[0]))
+        raws.append(correlation_of(tables[0]))
     s_raw = chsh_S(raws).s_value
     assert s_raw < subtracted
     assert s_raw == pytest.approx(SQRT2 / 2.0, abs=1e-9)
@@ -430,28 +432,51 @@ _ENGINE_CASES = [
 ] + [("mc_coherent", semantics, 1.0, 1e-3) for semantics in CoincidenceSemantics]
 
 
+def _cell(spec, setting, detector, mode, trials, seed, key):
+    """One (setting, repetition) cell at stream key ``key``, rebuilt from the samplers.
+
+    Returns the raw tables, the subtracted cells, the clamped magnitude, E
+    and its single-table error.
+    """
+    runs = protocol(spec, detector)
+    if mode == "exact":
+        trials, tables = 0, exact_rates(spec, setting, detector)
+    else:
+        fock = mode == "mc_fock"
+        sampler = measurement.run_montecarlo_fock if fock else measurement.run_montecarlo_coherent
+        tables = tuple(
+            sampler(config, setting, detector, trials, derive_rng(seed, *key, k))
+            for k, (config, _) in enumerate(runs)
+        )
+    c, clamped = subtract_background(stack(*tables), runs)
+    e, error = correlation_E(c, trials)
+    return tables, c, float(clamped), float(e), float(error)
+
+
 def _rebuilt(spec, detector, settings, mode, trials, repetitions, seed, stream):
-    """(E means, errors, raw tables, clamp total) from measure_protocol, cell by cell."""
+    """(E means, errors, raw tables, clamp total) rebuilt cell by cell."""
     repetitions = 1 if mode == "exact" else repetitions
-    means, errors, tables, totals = [], [], [], []
+    means, errors, tables, clamped_total = [], [], [], 0.0
     for s_idx, setting in enumerate(settings):
-        es, clamped_total = [], 0.0
+        es = []
         for rep in range(repetitions):
-            corr, raw, clamped = measure_protocol(
+            raw, _, clamped, e, error = _cell(
                 spec, setting, detector, mode, trials, seed, (stream, s_idx, rep)
             )
-            es.append(corr.e_value)
+            es.append(e)
             tables.extend(raw)
             clamped_total += clamped
         means.append(float(np.mean(es)))
-        errors.append(float(np.std(es, ddof=1)) if repetitions > 1 else corr.std_error)
-        totals.append(clamped_total)
-    return means, errors, tables, sum(totals)
+        errors.append(float(np.std(es, ddof=1)) if repetitions > 1 else error)
+    return means, errors, tables, clamped_total
 
 
 @pytest.mark.parametrize("mode, semantics, efficiency, dark", _ENGINE_CASES)
 def test_engine_equals_measure_protocol_cell_by_cell(mode, semantics, efficiency, dark):
-    """run_chsh and sweep_correlation equal measure_protocol at each cell key, bit for bit."""
+    """run_chsh and sweep_correlation equal their cells rebuilt from the samplers at the
+    stream keys (stream, setting, repetition, configuration) and passed through
+    subtract_background and correlation_E, bit for bit; so does measure_protocol
+    at the keys (configuration)."""
     spec = SourceSpec(0.3, 0.2)
     detector = DetectorModel(0.9, efficiency, semantics, dark)
     mc = dict(mode=mode, trials=3000, seed=29)
@@ -473,6 +498,9 @@ def test_engine_equals_measure_protocol_cell_by_cell(mode, semantics, efficiency
         )
         assert [p.e_mean for p in points] == means
         assert [p.e_std for p in points] == errors
+    corr, tables, clamped = measure_protocol(spec, quad[1], detector, **mc)
+    expected, _, expected_clamped, e, error = _cell(spec, quad[1], detector, mode, 3000, 29, ())
+    assert (corr.e_value, corr.std_error, tables, clamped) == (e, error, expected, expected_clamped)
 
 
 def test_exact_runs_at_an_efficiency_are_the_lossless_runs_at_the_detected_means():
@@ -495,16 +523,39 @@ def test_exact_runs_at_an_efficiency_are_the_lossless_runs_at_the_detected_means
             )
 
 
+def _no_sector_weight(means: str, n: int) -> str:
+    return (
+        f"detected means {means}: the weight of every sector that can register, "
+        f"up to {n} photons per beam, underflows to 0; use mc_coherent"
+    )
+
+
 def test_exact_runs_refuse_a_detected_mean_with_no_weight_below_n_max():
-    for semantics in CoincidenceSemantics:
-        detector = DetectorModel(semantics=semantics)
-        for drive in (run_chsh, lambda spec, det: sweep_correlation(spec, det, (0.0, 1.0))):
-            with pytest.raises(ValueError) as refused:
-                drive(SourceSpec(1000.0, 1.0), detector)
-            assert str(refused.value) == (
-                "detected mean 1000: every Poisson weight up to source.n_max = 4 underflows "
-                "to 0; use mc_coherent"
-            )
+    # per semantics: exact_one_one, threshold
+    cases = [
+        (
+            SourceSpec(1000.0, 1.0),
+            2 * ["detected mean 1000: every Poisson weight up to source.n_max = 4 underflows "
+                 "to 0; use mc_coherent"],
+        ),
+        # each beam keeps weights near 1e-304, but their products underflow
+        (SourceSpec(700.0, 700.0), [_no_sector_weight("700 and 700", n) for n in (2, 4)]),
+        # exact_one_one reads i, j <= 2 only, whose weights underflow though those up to 170 do not
+        (
+            SourceSpec(1000.0, 0.1, n_max=170),
+            [
+                _no_sector_weight("1000 and 0.1", 2),
+                "source.n_max must be at most 19 for exact threshold runs, got 170; use mc_fock",
+            ],
+        ),
+    ]
+    for spec, refusals in cases:
+        for semantics, refusal in zip(CoincidenceSemantics, refusals):
+            detector = DetectorModel(semantics=semantics)
+            for drive in (run_chsh, lambda spec, det: sweep_correlation(spec, det, (0.0, 1.0))):
+                with pytest.raises(ValueError) as refused:
+                    drive(spec, detector)
+                assert str(refused.value) == refusal
 
 
 @pytest.mark.parametrize(
@@ -544,23 +595,16 @@ def test_single_repetition_reports_multinomial_error():
     (point,) = sweep_correlation(
         spec, IDEAL, (theta,), mode="mc_coherent", trials=trials, repetitions=1, seed=seed
     )
-    corr, _, _ = measure_protocol(
-        spec,
-        AnalyzerSetting(theta, 0.0),
-        IDEAL,
-        "mc_coherent",
-        trials,
-        seed,
-        cell_key=(_STREAM_SWEEP, 0, 0),
+    _, c, _, e, error = _cell(
+        spec, AnalyzerSetting(theta, 0.0), IDEAL, "mc_coherent", trials, seed, (_STREAM_SWEEP, 0, 0)
     )
-    assert point.e_mean == corr.e_value
-    expected = math.sqrt((1.0 - corr.e_value**2) / corr.c_table.total)
+    assert point.e_mean == e
+    expected = math.sqrt((1.0 - e**2) / c.sum())
     assert point.e_std == pytest.approx(expected, rel=1e-12)
     assert point.e_std > 0.0
     # run_chsh follows the same convention
     run = run_chsh(spec, IDEAL, mode="mc_coherent", trials=trials, repetitions=1, seed=seed)
     for s_idx, setting in enumerate(setting_quad(*BELL_TEST_ANGLES)):
-        corr, _, _ = measure_protocol(
-            spec, setting, IDEAL, "mc_coherent", trials, seed, cell_key=(_STREAM_CHSH, s_idx, 0)
-        )
-        assert run.result.e_errors[s_idx] == corr.std_error > 0.0
+        key = (_STREAM_CHSH, s_idx, 0)
+        *_, error = _cell(spec, setting, IDEAL, "mc_coherent", trials, seed, key)
+        assert run.result.e_errors[s_idx] == error > 0.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -549,7 +550,10 @@ def test_validate_two_photon_check_fails_on_a_scaled_builder(monkeypatch, capsys
     def scaled(*args):
         result = original(*args)
         if builder == "exact_rates":
-            return tuple(t.with_values(t.values() * (1.0 + 1e-9)) for t in result)
+            cells = ("n_pp", "n_pm", "n_mp", "n_mm")
+            return tuple(
+                replace(t, **{c: getattr(t, c) * (1.0 + 1e-9) for c in cells}) for t in result
+            )
         return result * (1.0 + 1e-9)
 
     monkeypatch.setattr(cli, builder, scaled)

@@ -66,7 +66,8 @@ def sector(**occupations) -> StateVector:
 def subtracted(spec, setting, detector=IDEAL) -> np.ndarray:
     """The background-subtracted exact table, weighted by the protocol as in every mode."""
     tables = exact_rates(spec, setting, detector)
-    return subtract_background(tables, protocol(spec, detector))[0].values()
+    cells = np.array([t.values() for t in tables])
+    return subtract_background(cells, protocol(spec, detector))[0]
 
 
 def test_analyzer_transform_zero_is_identity():

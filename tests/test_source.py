@@ -71,6 +71,20 @@ def test_source_spec_validation():
     assert spec.effective_mu_b == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda x: SourceSpec(x, 0.1), "mean photon numbers must be finite and non-negative"),
+        (lambda x: DetectorModel(dark_rate=x), "dark_rate must be finite and non-negative"),
+    ],
+    ids=["mu_a", "dark_rate"],
+)
+def test_non_finite_means_and_dark_rates_are_refused(build, refusal, value):
+    with pytest.raises(ValueError, match=refusal):
+        build(value)
+
+
 def test_two_mode_input_vacuum():
     mixture, discarded = two_mode_input(SourceSpec(0.0, 0.0))
     assert discarded == 0.0
