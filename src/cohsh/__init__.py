@@ -56,7 +56,6 @@ from .measurement import (
     RECOMBINER,
     analyzer_transform,
     derive_rng,
-    exact_protocol_rates,
     exact_rates,
     protocol,
     run_montecarlo_coherent,
@@ -73,7 +72,6 @@ from .chsh import (
     chsh_S,
     correlation_E,
     fit_visibility,
-    measure_protocol,
     run_chsh,
     setting_quad,
     subtract_background,

@@ -22,10 +22,12 @@ The CHSH statistic S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| reaches
 correlation depends only on the angle difference, S there also equals
 |3 E(theta) - E(3 theta)| with theta = pi/8.
 
-The subtraction and E are computed in one place each: subtract_background
-and correlation_E take arrays with any leading axes, so the run engine
-(_run_protocol) passes every (setting, repetition) of a run at once and
-measure_protocol passes its one setting.  A setting's result is a
+One engine (_run_protocol) runs the protocol for run_chsh and
+sweep_correlation, and its record of a run is the array raw[s, r, k] of the
+four cells of configuration k in repetition r at setting s.  The
+subtraction and E are computed in one place each: subtract_background and
+correlation_E take arrays with any leading axes, so the engine passes every
+(setting, repetition) of a run at once.  A setting's result is a
 SubtractedCorrelation (e_value, std_error).
 
 Error conventions: a single count table gets the multinomial standard error
@@ -45,11 +47,8 @@ import numpy as np
 
 from .measurement import (
     AnalyzerSetting,
-    CountTable,
     DetectorModel,
-    _run_table,
     derive_rng,
-    exact_protocol_rates,
     exact_rates,
     protocol,
     run_montecarlo_coherent,
@@ -60,7 +59,7 @@ from .source import SourceSpec
 #: (alpha, alpha', beta, beta') maximizing the singlet CHSH violation.
 BELL_TEST_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 
-#: Seed-derivation substreams for the two protocol drivers.
+#: Seed-derivation substreams of the engine's two callers.
 _STREAM_CHSH = 1
 _STREAM_SWEEP = 2
 
@@ -222,37 +221,6 @@ def _sampler(mode: RunMode, trials: int, seed: int | None):
     return run_montecarlo_fock if mode is RunMode.MC_FOCK else run_montecarlo_coherent
 
 
-def measure_protocol(
-    spec: SourceSpec,
-    setting: AnalyzerSetting,
-    detector: DetectorModel,
-    mode: RunMode | str = RunMode.EXACT,
-    trials: int = 0,
-    seed: int | None = None,
-) -> tuple[SubtractedCorrelation, tuple[CountTable, ...], float]:
-    """One run of the protocol (measurement.protocol) at one setting.
-
-    Returns the subtracted correlation with its single-table error, the raw
-    table of each configuration in protocol order, and the clamp
-    diagnostic.  Exact mode gets every table from one exact_rates call;
-    Monte Carlo modes draw configuration k from derive_rng(seed, k), all
-    with the same trial count.
-    """
-    mode = RunMode(mode)
-    runs = protocol(spec, detector)
-    if mode is RunMode.EXACT:
-        trials, tables = 0, exact_rates(spec, setting, detector)
-    else:
-        runner = _sampler(mode, trials, seed)
-        tables = tuple(
-            runner(config, setting, detector, trials, derive_rng(seed, k))
-            for k, (config, _) in enumerate(runs)
-        )
-    c, clamped = subtract_background(np.array([t.values() for t in tables]), runs)
-    e, error = correlation_E(c, trials)
-    return SubtractedCorrelation(float(e), float(error)), tables, float(clamped)
-
-
 class _ProtocolRun(NamedTuple):
     """Every cell of one run of the engine (_run_protocol)."""
 
@@ -264,15 +232,6 @@ class _ProtocolRun(NamedTuple):
     correlations: list[SubtractedCorrelation]
     clamped: float
 
-    def tables(self) -> tuple[CountTable, ...]:
-        """Every raw table in (setting, repetition, configuration) order."""
-        return tuple(
-            _run_table(values, config, setting, self.trials)
-            for setting, per_setting in zip(self.settings, self.raw)
-            for per_repetition in per_setting
-            for values, (config, _) in zip(per_repetition, self.runs)
-        )
-
 
 def _run_protocol(
     spec, detector, settings, mode, trials, repetitions, seed, stream
@@ -280,7 +239,7 @@ def _run_protocol(
     """The three-configuration protocol at every setting of a run, repeated.
 
     The one engine of run_chsh and sweep_correlation.  Exact mode reads
-    every (setting, configuration) cell from one exact_protocol_rates call
+    every (setting, configuration) cell from one exact_rates call
     and runs once whatever ``repetitions`` says.  Monte Carlo modes make one
     sampler call per (setting, repetition, configuration) cell, settings
     outermost, each on the stream derive_rng(seed, stream, setting index,
@@ -297,7 +256,7 @@ def _run_protocol(
     runs = protocol(spec, detector)
     if mode is RunMode.EXACT:
         repetitions, trials = 1, 0
-        raw = exact_protocol_rates(spec, settings, detector)[:, None]
+        raw = exact_rates(spec, settings, detector)[:, None]
     else:
         runner = _sampler(mode, trials, seed)
         tables = [
@@ -356,15 +315,20 @@ def sweep_correlation(
 
 @dataclass(frozen=True)
 class ChshRun:
-    """A full CHSH measurement: the statistic plus every raw table produced.
+    """A full CHSH measurement: the statistic and the run it was read from.
 
-    ``tables`` holds every raw table in (setting, repetition, configuration)
-    order: the settings of setting_quad, then the repetitions, then the
-    configurations of measurement.protocol.
+    raw[s, r, k] holds the four cells of configuration k of ``runs`` (the
+    (configuration, weight) pairs of measurement.protocol) in repetition r
+    at ``settings[s]``, the settings of setting_quad; ``trials`` is every
+    Monte Carlo cell's trial number, 0 for exact per-trial probabilities.
+    ``clamped`` is the run's clamped magnitude (see subtract_background).
     """
 
     result: ChshResult
-    tables: tuple[CountTable, ...]
+    runs: tuple[tuple[SourceSpec, float], ...]
+    settings: Sequence[AnalyzerSetting]
+    trials: int
+    raw: np.ndarray
     clamped: float
 
 
@@ -387,4 +351,6 @@ def run_chsh(
     run = _run_protocol(
         spec, detector, setting_quad(*angles), mode, trials, repetitions, seed, _STREAM_CHSH
     )
-    return ChshRun(chsh_S(run.correlations), run.tables(), run.clamped)
+    return ChshRun(
+        chsh_S(run.correlations), run.runs, run.settings, run.trials, run.raw, run.clamped
+    )

@@ -31,14 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .chsh import fit_visibility, measure_protocol, run_chsh, sweep_correlation
+from .chsh import ChshRun, fit_visibility, run_chsh, sweep_correlation
 from .config import ConfigError, ExperimentConfig, OutputFormat, RunMode, load_config
 from .elements import apply, phase_shift, polarization_rotator
 from .fock import Port, StateVector, basis_state, density_matrix
 from .measurement import (
     RECOMBINER,
     AnalyzerSetting,
-    CountTable,
     DetectorModel,
     analyzer_transform,
     coherent_outcome_table,
@@ -118,7 +117,9 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
     The flags go through the config parser, so a flag value and a file value
     meet the same checks; a run without flags is parsed once, at load.  The
-    output paths are checked here, before any run (see _refuse_unwritable).
+    output paths are checked here, before any run (see _refuse_unwritable),
+    and so is a --dump-tables path that names the output file, whose JSON
+    would overwrite the tables.
     """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     top = {k: getattr(args, k) for k in ("seed", "mode", "trials", "repetitions", "workers")}
@@ -129,7 +130,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         doc.update(top)
         doc["output"].update(output)
         cfg = ExperimentConfig.from_json_dict(doc)
-    _refuse_unwritable(cfg.out_path, getattr(args, "dump_tables", None))
+    tables = getattr(args, "dump_tables", None)
+    _refuse_unwritable(cfg.out_path, tables)
+    if tables and cfg.out_path and Path(tables).resolve() == Path(cfg.out_path).resolve():
+        raise OutputError(f"--dump-tables and --out name the same file {tables!r}")
     return cfg
 
 
@@ -183,6 +187,24 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _fmt_number(x: float) -> str:
+    f = float(x)
+    return str(int(f)) if f.is_integer() else repr(f)
+
+
+def _tables_csv(run: ChshRun) -> str:
+    """The --dump-tables CSV: a row per raw table, in raw[setting, repetition, configuration]
+    order, naming its setting and its configuration's emitted means and shutter."""
+    rows = ["setting_alpha,setting_beta,mu_a,mu_b,blocked,n_pp,n_pm,n_mp,n_mm,trials"]
+    for setting, per_setting in zip(run.settings, run.raw.tolist()):
+        for per_repetition in per_setting:
+            for cells, (config, _) in zip(per_repetition, run.runs):
+                meta = map(_fmt_number, (setting.alpha, setting.beta, config.mu_a, config.mu_b))
+                fields = [*meta, config.blocked.value, *map(_fmt_number, cells), str(run.trials)]
+                rows.append(",".join(fields))
+    return "\n".join(rows) + "\n"
+
+
 def _cmd_chsh(args: argparse.Namespace) -> int:
     cfg = _load_json_only(args)
     run = run_chsh(
@@ -195,8 +217,7 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
         seed=cfg.seed,
     )
     if args.dump_tables:
-        rows = [CountTable.CSV_HEADER] + [t.csv_row() for t in run.tables]
-        _emit("\n".join(rows) + "\n", args.dump_tables)
+        _emit(_tables_csv(run), args.dump_tables)
     _emit(_json_text(run.result.to_json_dict()), cfg.out_path)
 
     out = _summary_stream(cfg.out_path)
@@ -288,9 +309,10 @@ def validation_checks() -> list[tuple[str, bool, str]]:
     setting = AnalyzerSetting(0.0, math.pi / 8)
     detector = DetectorModel()
     residual = 0.0
-    for table, (config, _) in zip(exact_rates(spec, setting, detector), protocol(spec, detector)):
+    (tables,) = exact_rates(spec, (setting,), detector)
+    for table, (config, _) in zip(tables, protocol(spec, detector)):
         coherent = coherent_outcome_table(config, setting, detector)
-        residual = max(residual, float(np.abs(table.values() - coherent).max() / coherent.max()))
+        residual = max(residual, float(np.abs(table - coherent).max() / coherent.max()))
     checks.append(
         (
             "two-photon-decomposition",
@@ -299,10 +321,8 @@ def validation_checks() -> list[tuple[str, bool, str]]:
         )
     )
 
-    worst = 0.0
-    for theta in (0.0, math.pi / 8, math.pi / 4, 1.0, 2.5):
-        corr, _, _ = measure_protocol(spec, AnalyzerSetting(theta, 0.0), detector)
-        worst = max(worst, abs(corr.e_value + math.cos(2.0 * theta)))
+    points = sweep_correlation(spec, detector, (0.0, math.pi / 8, math.pi / 4, 1.0, 2.5))
+    worst = max(abs(p.e_mean + math.cos(2.0 * p.theta)) for p in points)
     checks.append(("singlet-law", worst < 1e-9, f"max |E + cos 2t| = {worst:.3e} (tol 1e-9)"))
     return checks
 

@@ -8,8 +8,8 @@ by minus the analyzer angle, "-" is the V output.
 Table units.  Exact-mode tables are per-trial probabilities: the outcome
 distribution of one configuration that the Monte Carlo samplers draw their
 counts from, so exact mode is the infinite-trial limit of Monte Carlo.  An
-exact run (exact_protocol_rates) builds its mixture, its protocol and its
-Poisson weights once, over the sectors the detected means give weight to.
+exact run (exact_rates) builds its mixture, its protocol and its Poisson
+weights once, over the sectors the detected means give weight to.
 It then propagates each sector |i_aH, j_bV> that can register (i + j = 2
 for exact_one_one) once per setting, reads its 16 click patterns as the
 sampler reads _sector_table (_outcome_columns), and weights the row by the
@@ -151,29 +151,17 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Coincidence counts or probabilities for the four (+/-, +/-) outcomes.
+    """Coincidence counts of the four (+/-, +/-) outcomes over ``trials`` trials.
 
-    ``trials == 0`` marks an exact-mode table of per-trial probabilities;
-    counts from Monte Carlo carry the number of trials.  The remaining fields
-    are the run's metadata, written with the cells by csv_row.
+    The return value of the Monte Carlo samplers; a run keeps its cells in
+    arrays (see chsh.run_chsh).
     """
 
     n_pp: float
     n_pm: float
     n_mp: float
     n_mm: float
-    trials: int = 0
-    alpha: float | None = None
-    beta: float | None = None
-    mu_a: float | None = None
-    mu_b: float | None = None
-    blocked: BlockedArm | None = None
-
-    CSV_HEADER = "setting_alpha,setting_beta,mu_a,mu_b,blocked,n_pp,n_pm,n_mp,n_mm,trials"
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, **meta) -> "CountTable":
-        return cls(*np.asarray(values, dtype=float).tolist(), **meta)
+    trials: int
 
     def values(self) -> np.ndarray:
         return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float)
@@ -181,21 +169,6 @@ class CountTable:
     @property
     def total(self) -> float:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
-
-    def csv_row(self) -> str:
-        if None in (self.alpha, self.beta, self.mu_a, self.mu_b, self.blocked):
-            raise ValueError("table lacks the metadata required for a CSV row")
-        cells = ",".join(_fmt_number(v) for v in self.values())
-        return (
-            f"{_fmt_number(self.alpha)},{_fmt_number(self.beta)},"
-            f"{_fmt_number(self.mu_a)},{_fmt_number(self.mu_b)},"
-            f"{self.blocked.value},{cells},{int(self.trials)}"
-        )
-
-
-def _fmt_number(x: float) -> str:
-    f = float(x)
-    return str(int(f)) if f.is_integer() else repr(f)
 
 
 def _analyzer_matrix(setting: AnalyzerSetting) -> np.ndarray:
@@ -340,24 +313,26 @@ def _detected_weights(m: float, n_max: int) -> np.ndarray:
     return weights
 
 
-def exact_protocol_rates(
+def exact_rates(
     spec: SourceSpec, settings: Sequence[AnalyzerSetting], detector: DetectorModel
 ) -> np.ndarray:
     """Per-trial cell probabilities of an unblocked spec's protocol at every setting.
 
     Entry [s, k] holds the four cells of configuration k of protocol(spec,
-    detector) at settings[s].  The run builds one mixture, one protocol and
-    one set of Poisson weights; each setting costs one setup_transform and
-    one apply per sector that can register.  The sectors are those the
-    detected means of the open configuration give weight to, and each
-    configuration weights a sector's row by the Poisson weight of its own
-    detected means (see the module docstring).  exact_one_one, which
-    registers only i + j == 2, asks the source for i, j <= 2 alone;
-    threshold refuses n_max above EXACT_THRESHOLD_N_MAX.  A detected mean
+    detector) at settings[s]; a single AnalyzerSetting counts as a sequence
+    of one.  The run builds one mixture, one protocol and one set of
+    Poisson weights; each setting costs one setup_transform and one apply
+    per sector that can register.  The sectors are those the detected means
+    of the open configuration give weight to, and each configuration weights
+    a sector's row by the Poisson weight of its own detected means (see the
+    module docstring).  exact_one_one, which registers only i + j == 2,
+    asks the source for i, j <= 2 alone; threshold refuses n_max above
+    EXACT_THRESHOLD_N_MAX.  A detected mean
     whose weights up to n_max all underflow is refused, and so are two means
     under which the weight of every sector that can register underflows.
     Dark counts are not modeled here; use the coherent sampler for that.
     """
+    settings = (settings,) if isinstance(settings, AnalyzerSetting) else settings
     if detector.dark_rate > 0.0:
         raise ValueError("exact mode does not model dark counts; use mc_coherent")
     if detector.semantics is CoincidenceSemantics.THRESHOLD and spec.n_max > EXACT_THRESHOLD_N_MAX:
@@ -409,36 +384,6 @@ def exact_protocol_rates(
     for r in range(len(sectors)):
         outcomes += weights[:, r, None] * probs[r, :, None, :]
     return _finalize_cells(outcomes, detector)
-
-
-def exact_rates(
-    spec: SourceSpec, setting: AnalyzerSetting, detector: DetectorModel
-) -> tuple[CountTable, ...]:
-    """Per-trial outcome probabilities of each configuration of an unblocked spec's protocol.
-
-    The one-setting view of exact_protocol_rates, as one table per
-    configuration in protocol order.
-    """
-    (cells,) = exact_protocol_rates(spec, (setting,), detector)
-    return tuple(
-        _run_table(values, variant, setting, 0)
-        for values, (variant, _) in zip(cells, protocol(spec, detector))
-    )
-
-
-def _run_table(
-    values: np.ndarray, spec: SourceSpec, setting: AnalyzerSetting, trials: int
-) -> CountTable:
-    """The four cells of one configuration's run, with the run's metadata."""
-    return CountTable.from_values(
-        values,
-        trials=trials,
-        alpha=setting.alpha,
-        beta=setting.beta,
-        mu_a=spec.mu_a,
-        mu_b=spec.mu_b,
-        blocked=spec.blocked,
-    )
 
 
 def _detector_images(setting: AnalyzerSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -640,7 +585,7 @@ def _sampled_table(
     if trials >= TRIALS_LIMIT:
         raise ValueError(too_many_trials(trials))
     counts = _sample_counts(builder(spec, setting, detector), detector, trials, rng)
-    return _run_table(counts, spec, setting, trials)
+    return CountTable(*counts.astype(float).tolist(), trials)
 
 
 def run_montecarlo_fock(

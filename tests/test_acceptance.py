@@ -17,9 +17,9 @@ from cohsh.chsh import (
     chsh_S,
     correlation_E,
     fit_visibility,
-    measure_protocol,
     run_chsh,
     setting_quad,
+    subtract_background,
     sweep_correlation,
 )
 from cohsh.elements import apply, beam_splitter, compose, phase_shift, polarization_rotator
@@ -28,6 +28,7 @@ from cohsh.measurement import (
     AnalyzerSetting,
     DetectorModel,
     exact_rates,
+    protocol,
     run_montecarlo_coherent,
     run_montecarlo_fock,
 )
@@ -67,10 +68,10 @@ def test_criterion_1_singlet_correlation_law():
     for mu, (alpha, beta) in zip(
         itertools.cycle((0.05, 0.08, 0.1)), itertools.product(alphas, betas)
     ):
-        corr, _, _ = measure_protocol(
-            SourceSpec(mu, mu), AnalyzerSetting(alpha, beta), IDEAL
-        )
-        worst = max(worst, abs(corr.e_value - oracle_singlet_E(alpha, beta)))
+        spec = SourceSpec(mu, mu)
+        (tables,) = exact_rates(spec, (AnalyzerSetting(alpha, beta),), IDEAL)
+        e, _ = correlation_E(subtract_background(tables, protocol(spec, IDEAL))[0], 0)
+        worst = max(worst, abs(float(e) - oracle_singlet_E(alpha, beta)))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9, f"singlet law residual {worst:.3e}"
     assert elapsed < 5.0, f"grid took {elapsed:.2f}s (budget 5s)"
@@ -135,13 +136,11 @@ S_RAW_PINNED = 0.7071067811865476
 def test_criterion_4_subtraction_necessity():
     spec = SourceSpec(0.05, 0.05)
     subtracted = run_chsh(spec, IDEAL).result.s_value
-    raw_corrs = []
-    oracle_es = []
-    for setting in setting_quad(*BELL_TEST_ANGLES):
-        _, tables, _ = measure_protocol(spec, setting, IDEAL)
-        e, error = correlation_E(tables[0].values(), tables[0].trials)
-        raw_corrs.append(SubtractedCorrelation(float(e), float(error)))
-        oracle_es.append(oracle_unsubtracted_E(setting.alpha, setting.beta))
+    settings = setting_quad(*BELL_TEST_ANGLES)
+    # the open configuration's table at each setting, unsubtracted
+    e, error = correlation_E(exact_rates(spec, settings, IDEAL)[:, 0], 0)
+    raw_corrs = [SubtractedCorrelation(*pair) for pair in zip(e.tolist(), error.tolist())]
+    oracle_es = [oracle_unsubtracted_E(setting.alpha, setting.beta) for setting in settings]
     s_raw = chsh_S(raw_corrs).s_value
     s_raw_oracle = abs(oracle_es[0] - oracle_es[1] + oracle_es[2] + oracle_es[3])
     assert s_raw < subtracted
@@ -158,7 +157,7 @@ def test_criterion_5_two_photon_decomposition():
     spec = SourceSpec(0.05, 0.05)
     worst = 0.0
     for setting in setting_quad(*BELL_TEST_ANGLES):
-        table = exact_rates(spec, setting, IDEAL)[0].values()
+        table = exact_rates(spec, (setting,), IDEAL)[0, 0]
         sectors = oracle_sector_tables(setting.alpha, setting.beta)
         pieces = sum(
             poisson_pmf(spec.mu_a, i) * poisson_pmf(spec.mu_b, j) * sectors[key]

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Per workload, the traced counts that must be positive.
 _COUNTS = {
-    "exact_grid": ("elements.apply.calls",),
+    "exact_grid": ("elements.apply.calls", "measurement.exact_rates.self_s"),
     "mc_headline": ("measurement.mc.calls.coherent", "measurement.mc.scaling_2w"),
     "mc_detector": ("measurement.mc.calls.coherent", "measurement.mc.calls.fock"),
 }

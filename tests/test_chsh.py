@@ -15,7 +15,6 @@ from cohsh.chsh import (
     chsh_S,
     correlation_E,
     fit_visibility,
-    measure_protocol,
     run_chsh,
     setting_quad,
     subtract_background,
@@ -24,7 +23,6 @@ from cohsh.chsh import (
 from cohsh.measurement import (
     AnalyzerSetting,
     CoincidenceSemantics,
-    CountTable,
     DetectorModel,
     coherent_outcome_table,
     derive_rng,
@@ -39,19 +37,25 @@ IDEAL = DetectorModel()
 SQRT2 = math.sqrt(2.0)
 
 
-def table(pp, pm, mp, mm, **meta) -> CountTable:
-    return CountTable(pp, pm, mp, mm, **meta)
+def table(pp, pm, mp, mm) -> np.ndarray:
+    return np.array([pp, pm, mp, mm], dtype=float)
 
 
-def stack(*tables: CountTable) -> np.ndarray:
-    """The cells of ``tables`` as subtract_background takes them, one table per row."""
-    return np.array([t.values() for t in tables])
+def stack(*tables: np.ndarray) -> np.ndarray:
+    """``tables`` as subtract_background takes them, one table per row."""
+    return np.array(tables)
 
 
-def correlation_of(t: CountTable) -> SubtractedCorrelation:
+def correlation_of(cells: np.ndarray, trials: int = 0) -> SubtractedCorrelation:
     """correlation_E of one table, as the correlation chsh_S reads."""
-    e, error = correlation_E(t.values(), t.trials)
+    e, error = correlation_E(cells, trials)
     return SubtractedCorrelation(float(e), float(error))
+
+
+def exact_protocol(spec, setting, detector=IDEAL):
+    """One exact protocol run at one setting: its correlation, raw tables and clamped weight."""
+    tables, _, clamped, e, error = _cell(spec, setting, detector, "exact", 0, None, ())
+    return SubtractedCorrelation(e, error), tables, clamped
 
 
 #: The protocol runs with weights (1, -1, -1): plain subtraction of the blocked tables.
@@ -62,7 +66,7 @@ def test_subtract_background_trivial_cases():
     full = table(4.0, 3.0, 2.0, 1.0)
     zero = table(0.0, 0.0, 0.0, 0.0)
     out, clamped = subtract_background(stack(full, zero, zero), UNIT_RUNS)
-    assert np.array_equal(out, full.values())
+    assert np.array_equal(out, full)
     assert clamped == 0.0
 
     half = table(2.0, 1.5, 1.0, 0.5)
@@ -106,8 +110,8 @@ def test_array_functions_equal_per_table_calls():
 
 def test_exact_subtraction_isolates_anticorrelation():
     spec = SourceSpec(0.05, 0.05)
-    corr, tables, clamped = measure_protocol(spec, AnalyzerSetting(0.0, 0.0), IDEAL)
-    c, _ = subtract_background(stack(*tables), protocol(spec, IDEAL))
+    corr, tables, clamped = exact_protocol(spec, AnalyzerSetting(0.0, 0.0))
+    c, _ = subtract_background(tables, protocol(spec, IDEAL))
     assert c[0] == pytest.approx(0.0, abs=1e-9)
     assert c[3] == pytest.approx(0.0, abs=1e-9)
     assert corr.e_value == pytest.approx(-1.0, abs=1e-12)
@@ -130,7 +134,7 @@ def test_blocked_rescaling_uses_detected_means():
         runs = protocol(spec, detector)
         return (
             [w * coherent_outcome_table(s, setting, detector) for s, w in runs],
-            [w * t.values() for t, (_, w) in zip(exact_rates(spec, setting, detector), runs)],
+            [w * t for t, (_, w) in zip(exact_rates(spec, (setting,), detector)[0], runs)],
         )
 
     lossy_tables, lossless_tables = normalized(spec, lossy), normalized(detected, IDEAL)
@@ -149,16 +153,13 @@ def test_correlation_e_values():
 
 
 def test_correlation_e_exact_pipeline_at_pi_8():
-    corr, _, _ = measure_protocol(
-        SourceSpec(0.05, 0.05), AnalyzerSetting(math.pi / 8, 0.0), IDEAL
-    )
+    corr, _, _ = exact_protocol(SourceSpec(0.05, 0.05), AnalyzerSetting(math.pi / 8, 0.0))
     assert corr.e_value == pytest.approx(-math.cos(math.pi / 4), abs=1e-9)
     assert corr.std_error == 0.0
 
 
 def test_correlation_e_multinomial_error():
-    counted = table(100.0, 200.0, 250.0, 50.0, trials=10_000)
-    corr = correlation_of(counted)
+    corr = correlation_of(table(100.0, 200.0, 250.0, 50.0), trials=10_000)
     e = (100 - 200 - 250 + 50) / 600
     assert corr.e_value == pytest.approx(e)
     assert corr.std_error == pytest.approx(math.sqrt((1 - e * e) / 600))
@@ -199,8 +200,8 @@ def test_bell_angle_matches_quad_form_exactly():
     spec = SourceSpec(0.05, 0.05)
     run = run_chsh(spec, IDEAL)
     theta = math.pi / 8
-    e_t, _, _ = measure_protocol(spec, AnalyzerSetting(theta, 0.0), IDEAL)
-    e_3t, _, _ = measure_protocol(spec, AnalyzerSetting(3 * theta, 0.0), IDEAL)
+    e_t, _, _ = exact_protocol(spec, AnalyzerSetting(theta, 0.0))
+    e_3t, _, _ = exact_protocol(spec, AnalyzerSetting(3 * theta, 0.0))
     assert abs(bell_angle_S(e_t, e_3t).s_value - run.result.s_value) < 1e-12
 
 
@@ -239,9 +240,7 @@ def test_exact_e_matches_oracle_and_is_mu_independent():
     for alpha, beta in ((0.0, 0.3), (0.7, 0.1), (1.2, 2.2)):
         values = []
         for mu in (0.02, 0.05, 0.1):
-            corr, _, _ = measure_protocol(
-                SourceSpec(mu, mu), AnalyzerSetting(alpha, beta), IDEAL
-            )
+            corr, _, _ = exact_protocol(SourceSpec(mu, mu), AnalyzerSetting(alpha, beta))
             assert corr.e_value == pytest.approx(oracle_singlet_E(alpha, beta), abs=1e-9)
             values.append(corr.e_value)
         assert max(values) - min(values) < 1e-6
@@ -250,7 +249,7 @@ def test_exact_e_matches_oracle_and_is_mu_independent():
 def test_unsubtracted_correlation_matches_oracle():
     spec = SourceSpec(0.05, 0.05)
     for alpha, beta in ((0.0, math.pi / 8), (math.pi / 4, math.pi / 8), (0.9, 0.3)):
-        _, tables, _ = measure_protocol(spec, AnalyzerSetting(alpha, beta), IDEAL)
+        _, tables, _ = exact_protocol(spec, AnalyzerSetting(alpha, beta))
         raw = correlation_of(tables[0]).e_value
         assert raw == pytest.approx(oracle_unsubtracted_E(alpha, beta), abs=1e-12)
 
@@ -356,24 +355,29 @@ def test_raw_versus_subtracted_ordering():
     subtracted = run_chsh(spec, IDEAL).result.s_value
     raws = []
     for setting in setting_quad(*BELL_TEST_ANGLES):
-        _, tables, _ = measure_protocol(spec, setting, IDEAL)
+        _, tables, _ = exact_protocol(spec, setting)
         raws.append(correlation_of(tables[0]))
     s_raw = chsh_S(raws).s_value
     assert s_raw < subtracted
     assert s_raw == pytest.approx(SQRT2 / 2.0, abs=1e-9)
 
 
-def test_measure_protocol_validation():
+def test_protocol_engine_validation():
     spec = SourceSpec(0.05, 0.05)
-    with pytest.raises(ValueError):
-        measure_protocol(spec, AnalyzerSetting(0, 0), IDEAL, mode="nonsense")
-    with pytest.raises(ValueError):
-        measure_protocol(spec, AnalyzerSetting(0, 0), IDEAL, mode="mc_fock", trials=0, seed=1)
-    with pytest.raises(ValueError):
-        measure_protocol(spec, AnalyzerSetting(0, 0), IDEAL, mode="mc_fock", trials=10)
     blocked = SourceSpec(0.05, 0.05, blocked=BlockedArm.BLOCK_A)
-    with pytest.raises(ValueError):
-        measure_protocol(blocked, AnalyzerSetting(0, 0), IDEAL)
+
+    def sweep(spec, detector, **kwargs):
+        return sweep_correlation(spec, detector, (0.0, 1.0), **kwargs)
+
+    for drive in (run_chsh, sweep):
+        with pytest.raises(ValueError, match="nonsense"):
+            drive(spec, IDEAL, mode="nonsense")
+        with pytest.raises(ValueError, match="trials >= 1"):
+            drive(spec, IDEAL, mode="mc_fock", trials=0, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            drive(spec, IDEAL, mode="mc_fock", trials=10)
+        with pytest.raises(ValueError, match="unblocked"):
+            drive(blocked, IDEAL)
 
 
 def _call_log(monkeypatch, module, name):
@@ -389,8 +393,9 @@ def _call_log(monkeypatch, module, name):
     return calls
 
 
-def test_exact_protocol_builds_one_mixture_and_one_transform(monkeypatch):
-    """Work-count guard: an exact protocol run computes its three configurations together."""
+def test_exact_run_builds_one_mixture_and_one_transform_per_setting(monkeypatch):
+    """Work-count guard: an exact run computes every setting's three configurations from
+    one exact_rates call."""
     logs = [
         _call_log(monkeypatch, chsh, "exact_rates"),
         _call_log(monkeypatch, measurement, "two_mode_input"),
@@ -399,9 +404,8 @@ def test_exact_protocol_builds_one_mixture_and_one_transform(monkeypatch):
     for semantics in CoincidenceSemantics:
         for log in logs:
             log.clear()
-        detector = DetectorModel(semantics=semantics)
-        measure_protocol(SourceSpec(0.05, 0.07, n_max=6), AnalyzerSetting(0.3, 0.1), detector)
-        assert [len(log) for log in logs] == [1, 1, 1]
+        run_chsh(SourceSpec(0.05, 0.07, n_max=6), DetectorModel(semantics=semantics))
+        assert [len(log) for log in logs] == [1, 1, 4]
 
 
 def test_exact_drivers_build_one_mixture_per_run(monkeypatch):
@@ -440,15 +444,17 @@ def _cell(spec, setting, detector, mode, trials, seed, key):
     """
     runs = protocol(spec, detector)
     if mode == "exact":
-        trials, tables = 0, exact_rates(spec, setting, detector)
+        trials, (tables,) = 0, exact_rates(spec, (setting,), detector)
     else:
         fock = mode == "mc_fock"
         sampler = measurement.run_montecarlo_fock if fock else measurement.run_montecarlo_coherent
-        tables = tuple(
-            sampler(config, setting, detector, trials, derive_rng(seed, *key, k))
-            for k, (config, _) in enumerate(runs)
+        tables = stack(
+            *(
+                sampler(config, setting, detector, trials, derive_rng(seed, *key, k)).values()
+                for k, (config, _) in enumerate(runs)
+            )
         )
-    c, clamped = subtract_background(stack(*tables), runs)
+    c, clamped = subtract_background(tables, runs)
     e, error = correlation_E(c, trials)
     return tables, c, float(clamped), float(e), float(error)
 
@@ -464,7 +470,7 @@ def _rebuilt(spec, detector, settings, mode, trials, repetitions, seed, stream):
                 spec, setting, detector, mode, trials, seed, (stream, s_idx, rep)
             )
             es.append(e)
-            tables.extend(raw)
+            tables.append(raw)
             clamped_total += clamped
         means.append(float(np.mean(es)))
         errors.append(float(np.std(es, ddof=1)) if repetitions > 1 else error)
@@ -472,11 +478,10 @@ def _rebuilt(spec, detector, settings, mode, trials, repetitions, seed, stream):
 
 
 @pytest.mark.parametrize("mode, semantics, efficiency, dark", _ENGINE_CASES)
-def test_engine_equals_measure_protocol_cell_by_cell(mode, semantics, efficiency, dark):
+def test_engine_equals_its_rebuilt_cells(mode, semantics, efficiency, dark):
     """run_chsh and sweep_correlation equal their cells rebuilt from the samplers at the
     stream keys (stream, setting, repetition, configuration) and passed through
-    subtract_background and correlation_E, bit for bit; so does measure_protocol
-    at the keys (configuration)."""
+    subtract_background and correlation_E, bit for bit."""
     spec = SourceSpec(0.3, 0.2)
     detector = DetectorModel(0.9, efficiency, semantics, dark)
     mc = dict(mode=mode, trials=3000, seed=29)
@@ -490,7 +495,9 @@ def test_engine_equals_measure_protocol_cell_by_cell(mode, semantics, efficiency
         )
         assert list(run.result.e_values) == means
         assert list(run.result.e_errors) == errors
-        assert run.tables == tuple(tables)
+        assert run.raw.tolist() == np.reshape(tables, run.raw.shape).tolist()
+        trials = 0 if mode == "exact" else 3000
+        assert (run.runs, run.settings, run.trials) == (protocol(spec, detector), quad, trials)
         assert run.clamped == clamped
         points = sweep_correlation(spec, detector, thetas, repetitions=repetitions, **mc)
         means, errors, _, _ = _rebuilt(
@@ -498,9 +505,6 @@ def test_engine_equals_measure_protocol_cell_by_cell(mode, semantics, efficiency
         )
         assert [p.e_mean for p in points] == means
         assert [p.e_std for p in points] == errors
-    corr, tables, clamped = measure_protocol(spec, quad[1], detector, **mc)
-    expected, _, expected_clamped, e, error = _cell(spec, quad[1], detector, mode, 3000, 29, ())
-    assert (corr.e_value, corr.std_error, tables, clamped) == (e, error, expected, expected_clamped)
 
 
 def test_exact_runs_at_an_efficiency_are_the_lossless_runs_at_the_detected_means():
@@ -514,9 +518,7 @@ def test_exact_runs_at_an_efficiency_are_the_lossless_runs_at_the_detected_means
             emitted, detected = SourceSpec(mu_a, mu_b), SourceSpec(eff * mu_a, eff * mu_b)
             ours, expected = run_chsh(emitted, lossy), run_chsh(detected, lossless)
             assert ours.result == expected.result
-            assert [t.values().tolist() for t in ours.tables] == [
-                t.values().tolist() for t in expected.tables
-            ]
+            assert ours.raw.tolist() == expected.raw.tolist()
             assert ours.clamped == expected.clamped
             assert sweep_correlation(emitted, lossy, thetas) == sweep_correlation(
                 detected, lossless, thetas

@@ -2,16 +2,18 @@
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cohsh import cli, measurement
+from cohsh.chsh import ChshRun
 from cohsh.cli import build_parser, main, validation_checks
 from cohsh.config import ConfigError, ExperimentConfig, RunMode, load_config
 from cohsh.fock import MODES
+from cohsh.measurement import AnalyzerSetting
+from cohsh.source import SourceSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -297,6 +299,35 @@ def test_cli_chsh_dump_tables(tmp_path):
     assert sum(",block_a," in line for line in lines) == 4
 
 
+def test_dump_tables_csv_row():
+    spec = SourceSpec(0.05, 0.05)
+    run = ChshRun(
+        result=None,
+        runs=((spec, 1.0),),
+        settings=(AnalyzerSetting(0.0, 0.25),),
+        trials=10,
+        raw=np.array([[[[1.0, 2.0, 3.5, 0.0]]]]),
+        clamped=0.0,
+    )
+    header, row = cli._tables_csv(run).splitlines()
+    assert header.startswith("setting_alpha")
+    assert row == "0,0.25,0.05,0.05,none,1,2,3.5,0,10"
+
+
+@pytest.mark.parametrize("tables", ["result.json", "./result.json", "sub/../result.json"])
+def test_cli_refuses_dump_tables_naming_the_output_file(tmp_path, capsys, monkeypatch, tables):
+    """The JSON would overwrite the tables, so the run is refused before it starts."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr(cli, "run_chsh", None)
+    path = write_config(tmp_path)
+    assert main(["chsh", "--config", path, "--out", "result.json", "--dump-tables", tables]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --dump-tables and --out name the same file {tables!r}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sub"]
+
+
 @pytest.mark.parametrize("target", ["out", "dump_tables", "empty_path"])
 def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
     missing = str(tmp_path / "missing" / "file")
@@ -548,13 +579,7 @@ def test_validate_two_photon_check_fails_on_a_scaled_builder(monkeypatch, capsys
     original = getattr(cli, builder)
 
     def scaled(*args):
-        result = original(*args)
-        if builder == "exact_rates":
-            cells = ("n_pp", "n_pm", "n_mp", "n_mm")
-            return tuple(
-                replace(t, **{c: getattr(t, c) * (1.0 + 1e-9) for c in cells}) for t in result
-            )
-        return result * (1.0 + 1e-9)
+        return original(*args) * (1.0 + 1e-9)
 
     monkeypatch.setattr(cli, builder, scaled)
     checks = {name: ok for name, ok, _ in validation_checks()}

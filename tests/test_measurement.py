@@ -14,7 +14,6 @@ from cohsh.fock import AH, BV, Port, StateVector, basis_state
 from cohsh.measurement import (
     AnalyzerSetting,
     CoincidenceSemantics,
-    CountTable,
     DetectorModel,
     _outcome_probs,
     _sector_table,
@@ -44,9 +43,15 @@ from test_fock import psi_minus
 IDEAL = DetectorModel()
 
 
-def configuration_rates(spec, setting, detector) -> CountTable:
+def exact_tables(spec, setting, detector=IDEAL) -> np.ndarray:
+    """The exact_rates rows of one setting: each configuration's cells in protocol order."""
+    (tables,) = exact_rates(spec, (setting,), detector)
+    return tables
+
+
+def configuration_rates(spec, setting, detector) -> np.ndarray:
     """The exact_rates table of the configuration ``spec`` describes, blocked or not."""
-    tables = exact_rates(replace(spec, blocked=BlockedArm.NONE), setting, detector)
+    tables = exact_tables(replace(spec, blocked=BlockedArm.NONE), setting, detector)
     return tables[list(BlockedArm).index(spec.blocked)]
 
 
@@ -65,9 +70,7 @@ def sector(**occupations) -> StateVector:
 
 def subtracted(spec, setting, detector=IDEAL) -> np.ndarray:
     """The background-subtracted exact table, weighted by the protocol as in every mode."""
-    tables = exact_rates(spec, setting, detector)
-    cells = np.array([t.values() for t in tables])
-    return subtract_background(cells, protocol(spec, detector))[0]
+    return subtract_background(exact_tables(spec, setting, detector), protocol(spec, detector))[0]
 
 
 def test_analyzer_transform_zero_is_identity():
@@ -116,22 +119,22 @@ def test_sector_tables_match_closed_forms():
 def test_exact_rates_blocked_matches_sector_rate():
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.2, 0.9)
-    _, _, table = exact_rates(spec, setting, IDEAL)
+    _, _, table = exact_tables(spec, setting)
     expected = poisson_pmf(0.05, 2) * _sector_table(setting, 2, EXACT)[2, 0]
-    assert np.abs(table.values() - expected).max() < 1e-15
+    assert np.abs(table - expected).max() < 1e-15
 
 
 def test_exact_rates_zero_source():
-    table, _, _ = exact_rates(SourceSpec(0.0, 0.0), AnalyzerSetting(0.0, 0.0), IDEAL)
-    assert table.total == 0.0
-    assert table.trials == 0
+    table, _, _ = exact_tables(SourceSpec(0.0, 0.0), AnalyzerSetting(0.0, 0.0))
+    assert table.shape == (4,)
+    assert table.sum() == 0.0
 
 
 def test_exact_rates_two_photon_decomposition():
     """N decomposes over the three two-photon inputs, residual far below 1e-6."""
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, math.pi / 8)
-    table = exact_rates(spec, setting, IDEAL)[0].values()
+    table = exact_tables(spec, setting)[0]
     vacuum = math.exp(-spec.mu_a - spec.mu_b)
     terms = (
         vacuum * spec.mu_a * spec.mu_b,
@@ -156,13 +159,13 @@ def test_exact_rates_two_photon_decomposition():
 
 def test_exact_rates_rejects_dark_counts():
     with pytest.raises(ValueError, match="dark counts"):
-        exact_rates(SourceSpec(0.05, 0.05), AnalyzerSetting(0.0, 0.3), DetectorModel(dark_rate=1e-3))
+        exact_tables(SourceSpec(0.05, 0.05), AnalyzerSetting(0.0, 0.3), DetectorModel(dark_rate=1e-3))
 
 
 def test_exact_rates_rejects_a_blocked_spec():
     for arm in (BlockedArm.BLOCK_A, BlockedArm.BLOCK_B):
         with pytest.raises(ValueError, match="unblocked"):
-            exact_rates(SourceSpec(0.05, 0.05, blocked=arm), AnalyzerSetting(0.0, 0.3), IDEAL)
+            exact_tables(SourceSpec(0.05, 0.05, blocked=arm), AnalyzerSetting(0.0, 0.3))
 
 
 def test_protocol_lists_the_open_run_then_each_blocked_arm():
@@ -303,10 +306,10 @@ def test_exact_rates_equals_sum_over_every_sector(semantics):
     for n_max in range(7):
         for mu_a, mu_b in ((0.3, 0.2), (0.0, 0.2), (0.3, 0.0)):
             spec = SourceSpec(mu_a, mu_b, n_max=n_max)
-            tables = exact_rates(spec, setting, detector)
-            assert [table.blocked for table in tables] == list(BlockedArm)
-            for table in tables:
-                config = replace(spec, blocked=table.blocked)
+            tables = exact_tables(spec, setting, detector)
+            assert len(tables) == len(BlockedArm)
+            for arm, table in zip(BlockedArm, tables):
+                config = replace(spec, blocked=arm)
                 # efficiency enters as the substitution mu -> efficiency * mu
                 m_a = detector.efficiency * config.effective_mu_a
                 m_b = detector.efficiency * config.effective_mu_b
@@ -315,7 +318,7 @@ def test_exact_rates_equals_sum_over_every_sector(semantics):
                     for j in range(n_max + 1):
                         outcomes += poisson_pmf(m_a, i) * poisson_pmf(m_b, j) * full[i, j]
                 reference = measurement._finalize_cells(outcomes, detector)
-                assert np.array_equal(table.values(), reference), (n_max, mu_a, mu_b, table)
+                assert np.array_equal(table, reference), (n_max, mu_a, mu_b, arm)
 
 
 def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
@@ -333,7 +336,7 @@ def test_exact_rates_propagates_only_registering_sectors(monkeypatch):
     def sectors(semantics):
         calls.clear()
         spec = SourceSpec(0.05, 0.05, n_max=6)
-        exact_rates(spec, setting, DetectorModel(semantics=semantics))
+        exact_tables(spec, setting, DetectorModel(semantics=semantics))
         return sorted(
             (bstate.count(AH), bstate.count(BV)) for state in calls for bstate in state
         )
@@ -360,7 +363,7 @@ def test_exact_one_one_asks_the_source_for_two_photons_at_most(monkeypatch):
         cutoffs.clear()
         for n_max in (0, 1, 2, 4, 6):
             spec = SourceSpec(0.05, 0.07, n_max=n_max)
-            exact_rates(spec, setting, DetectorModel(semantics=semantics))
+            exact_tables(spec, setting, DetectorModel(semantics=semantics))
         assert cutoffs == expected
 
 
@@ -369,7 +372,7 @@ def test_efficiency_is_the_detected_mean_substitution(semantics):
     """Every builder at efficiency e is the lossless builder at means e * mu."""
     settings = (AnalyzerSetting(0.0, math.pi / 8), AnalyzerSetting(0.3, 1.1))
     builders = (
-        lambda *args: configuration_rates(*args).values(),
+        configuration_rates,
         fock_outcome_table,
         coherent_outcome_table,
     )
@@ -389,9 +392,9 @@ def test_efficiency_is_the_detected_mean_substitution(semantics):
 def test_exact_rates_efficiency_scaling():
     spec = SourceSpec(0.08, 0.03)
     setting = AnalyzerSetting(0.5, 0.2)
-    base = exact_rates(spec, setting, IDEAL)[0].values()
+    base = exact_tables(spec, setting)[0]
     for eff in (0.9, 0.5, 0.25):
-        scaled = exact_rates(spec, setting, DetectorModel(efficiency=eff))[0].values()
+        scaled = exact_tables(spec, setting, DetectorModel(efficiency=eff))[0]
         # two detected photons, each kept with probability eff, and a brighter vacuum
         expected = eff**2 * math.exp((1.0 - eff) * (spec.mu_a + spec.mu_b)) * base
         assert np.abs(scaled - expected).max() < 1e-15
@@ -400,23 +403,12 @@ def test_exact_rates_efficiency_scaling():
 def test_exact_rates_visibility_mixes_toward_uniform():
     spec = SourceSpec(0.05, 0.05)
     setting = AnalyzerSetting(0.0, 0.0)
-    base = exact_rates(spec, setting, IDEAL)[0].values()
+    base = exact_tables(spec, setting)[0]
     eta = 0.8
-    mixed = exact_rates(spec, setting, DetectorModel(visibility_eta=eta))[0].values()
+    mixed = exact_tables(spec, setting, DetectorModel(visibility_eta=eta))[0]
     expected = eta * base + (1 - eta) / 4.0 * base.sum()
     assert np.abs(mixed - expected).max() < 1e-15
     assert mixed.sum() == pytest.approx(base.sum())
-
-
-def test_count_table_csv_row():
-    table = CountTable(
-        1.0, 2.0, 3.5, 0.0, trials=10, alpha=0.0, beta=0.25,
-        mu_a=0.05, mu_b=0.05, blocked=BlockedArm.NONE,
-    )
-    assert table.csv_row() == "0,0.25,0.05,0.05,none,1,2,3.5,0,10"
-    assert CountTable.CSV_HEADER.startswith("setting_alpha")
-    with pytest.raises(ValueError):
-        CountTable(1.0, 0.0, 0.0, 0.0).csv_row()
 
 
 def test_derive_rng_independent_of_order():
@@ -469,7 +461,7 @@ def test_montecarlo_matches_exact_rates(runner):
     setting = AnalyzerSetting(0.0, math.pi / 8)
     trials = 400_000
     table = runner(spec, setting, IDEAL, trials, np.random.default_rng(2024))
-    expected = exact_rates(spec, setting, IDEAL)[0].values() * trials
+    expected = exact_tables(spec, setting)[0] * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -478,8 +470,8 @@ def test_threshold_semantics_counts_more_events():
     spec = SourceSpec(0.1, 0.1)
     setting = AnalyzerSetting(0.0, math.pi / 8)
     threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
-    strict = exact_rates(spec, setting, IDEAL)[0].values()
-    loose = exact_rates(spec, setting, threshold)[0].values()
+    strict = exact_tables(spec, setting)[0]
+    loose = exact_tables(spec, setting, threshold)[0]
     # threshold admits higher photon-number sectors, so it can only add rate
     assert (loose >= strict - 1e-15).all()
     assert loose.sum() > strict.sum()
@@ -494,7 +486,7 @@ def test_threshold_montecarlo_matches_exact_threshold_rates(runner):
     threshold = DetectorModel(semantics=CoincidenceSemantics.THRESHOLD)
     trials = 400_000
     table = runner(spec, setting, threshold, trials, np.random.default_rng(606))
-    expected = exact_rates(spec, setting, threshold)[0].values() * trials
+    expected = exact_tables(spec, setting, threshold)[0] * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -507,7 +499,7 @@ def test_montecarlo_efficiency_thinning(runner):
     lossy = DetectorModel(efficiency=eff)
     trials = 1_000_000
     table = runner(spec, setting, lossy, trials, np.random.default_rng(4242))
-    expected = exact_rates(spec, setting, lossy)[0].values() * trials
+    expected = exact_tables(spec, setting, lossy)[0] * trials
     sigma = np.sqrt(expected)
     assert (np.abs(table.values() - expected) <= 4.0 * sigma).all()
 
@@ -588,13 +580,13 @@ def test_exact_rates_equal_the_coherent_table(semantics, efficiency):
             AnalyzerSetting(0.3, 1.1),
             AnalyzerSetting(2.0, -0.4),
         ):
-            tables = exact_rates(spec, setting, detector)
+            tables = exact_tables(spec, setting, detector)
             for arm, table in zip(BlockedArm, tables):
                 config = replace(spec, blocked=arm)
                 reference = measurement._finalize_cells(
                     coherent_outcome_table(config, setting, detector), detector
                 )
-                error = np.abs(table.values() - reference).max()
+                error = np.abs(table - reference).max()
                 assert error <= tol * np.abs(reference).max(), (arm, setting, error)
 
 
@@ -705,17 +697,17 @@ def test_exact_threshold_refuses_n_max_beyond_the_factorial_table(monkeypatch):
     detector = DetectorModel(semantics=THRESHOLD)
     for n_max in (20, 40, 170):
         with pytest.raises(ValueError) as refused:
-            exact_rates(SourceSpec(0.1, 0.1, n_max=n_max), AnalyzerSetting(0.0, 0.3), detector)
+            exact_tables(SourceSpec(0.1, 0.1, n_max=n_max), AnalyzerSetting(0.0, 0.3), detector)
         assert str(refused.value) == (
             f"source.n_max must be at most 19 for exact threshold runs, got {n_max}; use mc_fock"
         )
     monkeypatch.undo()
     # exact_one_one propagates two photons whatever n_max is
     deep, shallow = (
-        exact_rates(SourceSpec(0.1, 0.1, n_max=n_max), AnalyzerSetting(0.0, 0.3), IDEAL)
+        exact_tables(SourceSpec(0.1, 0.1, n_max=n_max), AnalyzerSetting(0.0, 0.3))
         for n_max in (170, 2)
     )
-    assert [t.values().tolist() for t in deep] == [t.values().tolist() for t in shallow]
+    assert deep.tolist() == shallow.tolist()
 
 
 def test_fock_outcome_table_refuses_a_mean_with_no_weight_below_n_max():
