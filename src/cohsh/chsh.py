@@ -114,9 +114,13 @@ def subtract_background(
 
     ``raw`` holds the four cells of each table on its last axis and the
     configurations, in protocol order, on axis -2; leading axes (settings,
-    repetitions) are carried through.  Negative entries, which can arise
-    from statistical fluctuation, are clamped to zero.  Returns C and, per
-    subtracted table, the clamped magnitude as a diagnostic.
+    repetitions) are carried through.  Negative entries are clamped to
+    zero.  They arise from statistical fluctuation in Monte Carlo tables,
+    and in exact threshold tables from the model itself, where the
+    subtraction leaves third-order threshold terms: run_chsh(SourceSpec(0.15,
+    0.3, n_max=6), DetectorModel(semantics=THRESHOLD), (2, 2, 0.5, 0.5))
+    clamps 1.04e-3 in total and reads E = 1.0 at every setting.  Returns C
+    and, per subtracted table, the clamped magnitude as a diagnostic.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.shape[-2] != len(runs):

@@ -118,8 +118,9 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     The flags go through the config parser, so a flag value and a file value
     meet the same checks; a run without flags is parsed once, at load.  The
     output paths are checked here, before any run (see _refuse_unwritable),
-    and so is a --dump-tables path that names the output file, whose JSON
-    would overwrite the tables.
+    and so is an output path that names the config file, which the run would
+    overwrite, or a --dump-tables path that names the output file, whose
+    JSON would overwrite the tables.
     """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     top = {k: getattr(args, k) for k in ("seed", "mode", "trials", "repetitions", "workers")}
@@ -132,6 +133,9 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json_dict(doc)
     tables = getattr(args, "dump_tables", None)
     _refuse_unwritable(cfg.out_path, tables)
+    for flag, path in (("--out", cfg.out_path), ("--dump-tables", tables)):
+        if args.config and path and os.path.exists(path) and os.path.samefile(path, args.config):
+            raise OutputError(f"{flag} names the config file {path!r}")
     if tables and cfg.out_path and Path(tables).resolve() == Path(cfg.out_path).resolve():
         raise OutputError(f"--dump-tables and --out name the same file {tables!r}")
     return cfg

@@ -96,6 +96,13 @@ class FockBasisState:
             occ[MODE_INDEX[mode]] = int(n)
         return cls(tuple(occ))
 
+    @classmethod
+    def _trusted(cls, occ: tuple[int, ...]) -> "FockBasisState":
+        """Unchecked constructor for elements.apply: eight non-negative ints."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "occ", occ)
+        return state
+
     def occupations(self) -> dict[ModeLabel, int]:
         """Nonzero occupations keyed by mode, in canonical order."""
         return {mode: n for mode, n in zip(MODES, self.occ) if n}
@@ -139,11 +146,7 @@ class StateVector:
     def _trusted(cls, terms: dict[tuple[int, ...], complex]) -> "StateVector":
         """Unchecked constructor for elements.apply: valid occupations, pruned amplitudes."""
         new = object.__new__(cls)
-        new._amp = {}
-        for occ, amplitude in terms.items():
-            state = object.__new__(FockBasisState)
-            object.__setattr__(state, "occ", occ)
-            new._amp[state] = amplitude
+        new._amp = dict(zip(map(FockBasisState._trusted, terms), terms.values()))
         return new
 
     @classmethod

@@ -8,13 +8,15 @@ by minus the analyzer angle, "-" is the V output.
 Table units.  Exact-mode tables are per-trial probabilities: the outcome
 distribution of one configuration that the Monte Carlo samplers draw their
 counts from, so exact mode is the infinite-trial limit of Monte Carlo.  An
-exact run (exact_rates) builds its mixture, its protocol and its Poisson
-weights once, over the sectors the detected means give weight to.
-It then propagates each sector |i_aH, j_bV> that can register (i + j = 2
-for exact_one_one) once per setting, reads its 16 click patterns as the
-sampler reads _sector_table (_outcome_columns), and weights the row by the
-Poisson weight P(i; m_a) P(j; m_b) of each configuration's detected means m
-(see Detector model).  For exact_one_one this is the two-photon decomposition
+exact run (exact_rates) builds its mixture, its protocol, its Poisson
+weights and one stack of its settings' setup matrices once, over the
+sectors the detected means give weight to.  It then propagates each sector
+|i_aH, j_bV> that can register (i + j = 2 for exact_one_one) once per run,
+through the whole stack (elements.apply), reads its 16 click patterns at
+every setting as the sampler reads _sector_table (_outcome_columns), and
+weights the row by the Poisson weight P(i; m_a) P(j; m_b) of each
+configuration's detected means m (see Detector model).  For exact_one_one
+this is the two-photon decomposition
 
     N_ij = e^{-m_a-m_b} [m_a m_b P_ij(1,1) + m_a^2/2 P_ij(2,0) + m_b^2/2 P_ij(0,2)],
 
@@ -190,12 +192,16 @@ def analyzer_transform(setting: AnalyzerSetting) -> ModeTransform:
     return ModeTransform(_analyzer_matrix(setting))
 
 
-def setup_transform(setting: AnalyzerSetting) -> ModeTransform:
+def setup_transform(setting: AnalyzerSetting | Sequence[AnalyzerSetting]) -> ModeTransform:
     """The recombining splitter followed by the analyzers: inputs a, b to the detectors.
 
     One matrix product, bit for bit compose(RECOMBINER, analyzer_transform(setting)).
+    A sequence of settings gives the stack of their matrices in one product,
+    member s bit for bit the matrix of settings[s].
     """
-    return ModeTransform(_analyzer_matrix(setting) @ RECOMBINER.matrix)
+    if isinstance(setting, AnalyzerSetting):
+        return ModeTransform(_analyzer_matrix(setting) @ RECOMBINER.matrix)
+    return ModeTransform(np.array([_analyzer_matrix(s) for s in setting]) @ RECOMBINER.matrix)
 
 
 def too_many_trials(trials: int) -> str:
@@ -243,11 +249,18 @@ def _can_register(i: int, j: int, semantics: CoincidenceSemantics) -> bool:
 
 
 def _outcome_probs(state: StateVector, transform: ModeTransform) -> np.ndarray:
-    """The 16 click-pattern probabilities of one pure state, before detector effects."""
-    probs = np.zeros(len(_PATTERNS))
-    for bstate, amp in apply(transform, state).items():
-        probs[_click_pattern(bstate.occ)] += amp.real * amp.real + amp.imag * amp.imag
-    return probs
+    """The 16 click-pattern probabilities of one pure state, before detector effects.
+
+    A stack of S transforms gives an (S, 16) array, row s that of member s.
+    Each pattern sums its output terms in canonical order.
+    """
+    out = apply(transform, state)
+    terms = out.items() if isinstance(out, StateVector) else out
+    amps = np.array([amp for _, amp in terms], dtype=complex)
+    probs = np.zeros((len(_PATTERNS),) + amps.shape[1:])
+    patterns = [_click_pattern(bstate.occ) for bstate, _ in terms]
+    np.add.at(probs, patterns, amps.real * amps.real + amps.imag * amps.imag)
+    return probs.T
 
 
 def detected_means(spec: SourceSpec, detector: DetectorModel) -> tuple[float, float]:
@@ -320,16 +333,17 @@ def exact_rates(
 
     Entry [s, k] holds the four cells of configuration k of protocol(spec,
     detector) at settings[s]; a single AnalyzerSetting counts as a sequence
-    of one.  The run builds one mixture, one protocol and one set of
-    Poisson weights; each setting costs one setup_transform and one apply
-    per sector that can register.  The sectors are those the detected means
-    of the open configuration give weight to, and each configuration weights
-    a sector's row by the Poisson weight of its own detected means (see the
-    module docstring).  exact_one_one, which registers only i + j == 2,
-    asks the source for i, j <= 2 alone; threshold refuses n_max above
-    EXACT_THRESHOLD_N_MAX.  A detected mean
-    whose weights up to n_max all underflow is refused, and so are two means
-    under which the weight of every sector that can register underflows.
+    of one.  The run builds one mixture, one protocol, one set of Poisson
+    weights and one stack of setup matrices (setup_transform of every
+    setting), and sends each sector that can register through the stack in
+    one apply.  The sectors are those the detected means of the open
+    configuration give weight to, and each configuration weights a sector's
+    row by the Poisson weight of its own detected means (see the module
+    docstring).  exact_one_one, which registers only i + j == 2, asks the
+    source for i, j <= 2 alone; threshold refuses n_max above
+    EXACT_THRESHOLD_N_MAX.  A detected mean whose weights up to n_max all
+    underflow is refused, and so are two means under which the weight of
+    every sector that can register underflows.
     Dark counts are not modeled here; use the coherent sampler for that.
     """
     settings = (settings,) if isinstance(settings, AnalyzerSetting) else settings
@@ -374,11 +388,10 @@ def exact_rates(
         ]
     ).reshape(len(runs), len(sectors))
     columns = _outcome_columns(detector.semantics)
+    transform = setup_transform(settings)
     probs = np.empty((len(sectors), len(settings), len(columns)))
-    for s, setting in enumerate(settings):
-        transform = setup_transform(setting)
-        for r, (_, _, component) in enumerate(sectors):
-            probs[r, s] = _outcome_probs(component, transform)[columns]
+    for r, (_, _, component) in enumerate(sectors):
+        probs[r] = _outcome_probs(component, transform)[:, columns]
     # accumulated sector by sector, in mixture order
     outcomes = np.zeros((len(settings), len(runs), len(columns)))
     for r in range(len(sectors)):

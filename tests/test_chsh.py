@@ -393,9 +393,9 @@ def _call_log(monkeypatch, module, name):
     return calls
 
 
-def test_exact_run_builds_one_mixture_and_one_transform_per_setting(monkeypatch):
+def test_exact_run_builds_one_mixture_and_one_setup_stack(monkeypatch):
     """Work-count guard: an exact run computes every setting's three configurations from
-    one exact_rates call."""
+    one exact_rates call, which builds the setup matrices of all four settings as one stack."""
     logs = [
         _call_log(monkeypatch, chsh, "exact_rates"),
         _call_log(monkeypatch, measurement, "two_mode_input"),
@@ -405,12 +405,14 @@ def test_exact_run_builds_one_mixture_and_one_transform_per_setting(monkeypatch)
         for log in logs:
             log.clear()
         run_chsh(SourceSpec(0.05, 0.07, n_max=6), DetectorModel(semantics=semantics))
-        assert [len(log) for log in logs] == [1, 1, 4]
+        assert [len(log) for log in logs] == [1, 1, 1]
+        ((settings,),) = logs[2]
+        assert len(settings) == 4
 
 
 def test_exact_drivers_build_one_mixture_per_run(monkeypatch):
-    """Work-count guard: one mixture per run, one setup matrix per setting and,
-    under exact_one_one, one propagation per two-photon sector per setting."""
+    """Work-count guard: one mixture and one setup stack per run and, under
+    exact_one_one, one propagation per two-photon sector per run."""
     logs = [
         _call_log(monkeypatch, measurement, name)
         for name in ("two_mode_input", "setup_transform", "apply")
@@ -425,7 +427,8 @@ def test_exact_drivers_build_one_mixture_per_run(monkeypatch):
                 run_chsh(spec, IDEAL, repetitions=repetitions)
             else:
                 sweep_correlation(spec, IDEAL, sweep, repetitions=repetitions)
-            assert [len(log) for log in logs] == [1, settings, 3 * settings]
+            assert [len(log) for log in logs] == [1, 1, 3]
+            assert len(logs[1][0][0]) == settings
 
 
 _ENGINE_CASES = [

@@ -328,6 +328,22 @@ def test_cli_refuses_dump_tables_naming_the_output_file(tmp_path, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sub"]
 
 
+@pytest.mark.parametrize("flag", ["--dump-tables", "--out"])
+@pytest.mark.parametrize("given", ["run.json", "./run.json"])
+def test_cli_refuses_an_output_naming_the_config_file(tmp_path, capsys, monkeypatch, flag, given):
+    """The run would overwrite its own config, so it is refused before it starts."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_chsh", None)
+    config = tmp_path / "run.json"
+    write_config(tmp_path, name="run.json")
+    before = config.read_bytes()
+    other = ["--out", "r.json"] if flag == "--dump-tables" else []
+    assert main(["chsh", "--config", "run.json", flag, given] + other) == 2
+    assert capsys.readouterr().err == f"error: {flag} names the config file {given!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    assert config.read_bytes() == before
+
+
 @pytest.mark.parametrize("target", ["out", "dump_tables", "empty_path"])
 def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
     missing = str(tmp_path / "missing" / "file")

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from cohsh import elements
 from cohsh.elements import (
     ModeTransform,
     apply,
@@ -15,7 +14,7 @@ from cohsh.elements import (
     phase_shift,
     polarization_rotator,
 )
-from cohsh.fock import FockBasisState, Port, StateVector, basis_state
+from cohsh.fock import PRUNE_EPS, FockBasisState, Port, StateVector, basis_state
 
 from helpers import assert_states_close
 from oracle import oracle_bs_expand
@@ -182,7 +181,8 @@ def test_apply_output_equals_the_validated_construction():
     for transform, state in cases:
         acc = {}
         for bstate, amp in state.items():
-            images = elements._apply_to_occupations(transform._column_images, bstate.occ)
+            # the image of each input term on its own, summed here through the checked constructor
+            images = {b.occ: a for b, a in apply(transform, StateVector.from_basis(bstate)).items()}
             for occ, coeff in images.items():
                 acc[occ] = acc.get(occ, 0j) + amp * coeff
         expected = StateVector({FockBasisState(occ): a for occ, a in acc.items()})
@@ -192,6 +192,54 @@ def test_apply_output_equals_the_validated_construction():
         assert out.items() == expected.items()
         assert all(type(b.occ) is tuple and len(b.occ) == 8 for b in out)
         assert all(type(a) is complex for _, a in out.items())
+
+
+#: Analyzer angles (alpha, beta) of the stack members: at 0, pi/2 and pi some
+#: entries are 0 or round to below PRUNE_EPS, so members keep different entries.
+_STACK_ANGLES = (
+    (0.0, math.pi / 8),
+    (math.pi / 2, 0.3),
+    (math.pi, math.pi),
+    (0.7, -0.4),
+    (math.pi / 4, 3 * math.pi / 8),
+    (0.0, 0.0),
+)
+
+
+def _analyzed_splitter(alpha: float, beta: float) -> ModeTransform:
+    rotations = compose(polarization_rotator(Port.C, -alpha), polarization_rotator(Port.D, -beta))
+    return compose(BS, rotations)
+
+
+def test_each_member_of_a_stack_propagates_as_it_does_alone():
+    singles = [_analyzed_splitter(alpha, beta) for alpha, beta in _STACK_ANGLES]
+    stack = ModeTransform(np.array([t.matrix for t in singles]))
+    assert len({(np.abs(t.matrix) > PRUNE_EPS).tobytes() for t in singles}) > 1
+    mixed = StateVector(
+        {basis_state(aH=2, bV=1): 0.6, basis_state(aH=1, bH=1): 0.48j, basis_state(bV=3): -0.64}
+    )
+    sectors = ({"aH": 1, "bV": 1}, {"aH": 2}, {"aH": 3, "bV": 2})
+    states = [StateVector.from_basis(basis_state(**occ)) for occ in sectors]
+    for state in states + [mixed]:
+        out = apply(stack, state)
+        occs = [bstate.occ for bstate, _ in out]
+        assert occs == sorted(set(occs))
+        assert all(row.shape == (len(singles),) and row.any() for _, row in out)
+        # a term some member prunes is exactly 0 there
+        assert any((row == 0).any() for _, row in out)
+        for s, single in enumerate(singles):
+            member = StateVector({bstate: complex(row[s]) for bstate, row in out})
+            alone = apply(single, state)
+            assert member == alone
+            assert member.items() == alone.items()
+
+
+def test_a_stack_with_one_non_unitary_member_is_refused():
+    stack = ModeTransform(np.array([BS.matrix, np.eye(8), 1.5 * BS.matrix]))
+    assert stack.unitarity_defect() == pytest.approx(1.25)
+    message = r"^transform is not unitary \(defect 1\.250e\+00 > 1e-09\)$"
+    with pytest.raises(ValueError, match=message):
+        apply(stack, StateVector.from_basis(basis_state(aH=1)))
 
 
 def test_generated_transforms_are_unitary():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cohsh import elements, measurement
-from cohsh.chsh import subtract_background
+from cohsh.chsh import setting_quad, subtract_background
 from cohsh.elements import compose, polarization_rotator
 from cohsh.fock import AH, BV, Port, StateVector, basis_state
 from cohsh.measurement import (
@@ -642,6 +642,18 @@ def test_setup_transform_is_the_composed_elements_bit_for_bit():
             (analyzer_transform(setting), rotations.matrix),
         ):
             assert np.array_equal(ours.matrix.view(np.uint64), reference.view(np.uint64))
+
+
+def test_setup_stack_members_are_each_setup_transform_bit_for_bit():
+    rng = np.random.default_rng(8)
+    sweep = [AnalyzerSetting(float(t), 0.0) for t in np.linspace(0.0, math.pi, 17)]
+    quad = setting_quad(*rng.uniform(-4.0, 4.0, size=4).tolist())
+    for settings in (sweep, quad, sweep[:1]):
+        stack = setup_transform(settings).matrix
+        assert stack.shape == (len(settings), 8, 8)
+        for member, setting in zip(stack, settings):
+            reference = setup_transform(setting).matrix
+            assert np.array_equal(member.view(np.uint64), reference.view(np.uint64))
 
 
 def test_threshold_table_without_interference_is_the_product_of_click_probabilities():
